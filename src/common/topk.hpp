@@ -111,9 +111,12 @@ inline std::vector<Neighbor> merge_sorted_topk(
   BoundedMaxHeap heap(k);
   for (const auto& list : lists) {
     for (const auto& n : list) {
-      // Lists are ascending: once one entry fails the threshold, the rest of
-      // this list cannot contribute (the same early-exit the DPU merge uses).
-      if (heap.full() && !(n.dist < heap.threshold())) break;
+      // Lists are ascending: once one entry fails the heap's acceptance test
+      // (worst(), id tie-break included), the rest of this list cannot
+      // contribute — the same early exit the DPU merge uses. A distance-only
+      // test would drop a tie with a smaller id and make the result depend
+      // on list order.
+      if (heap.full() && !(n < heap.worst())) break;
       heap.push(n);
     }
   }

@@ -282,111 +282,153 @@ __attribute__((target("avx2"))) inline void lut_block8_dsub8_avx2(
   max_v = _mm256_max_ps(max_v, acc);
 }
 
-/// One full 256-entry LUT row at AVX2 (dsub == 8). Returns the row max.
-__attribute__((target("avx2"))) float lut_row_dsub8_avx2(
-    const std::int8_t* cb_seg, const float* res, float scale, float* lut_row) {
+/// A run of n LUT entries (n % 8 == 0) of one subspace at SSE2 (dsub == 8),
+/// starting at the run's first codebook entry. Returns the run max.
+float lut_run_dsub8_sse2(const std::int8_t* cb, const float* res, float scale,
+                         float* out, std::size_t n) {
+  const __m128 scale_v = _mm_set1_ps(scale);
+  __m128 max_lo = _mm_setzero_ps();
+  __m128 max_hi = _mm_setzero_ps();
+  for (std::size_t c = 0; c < n; c += 8) {
+    lut_block8_dsub8(cb + c * 8, res, scale_v, out + c, max_lo, max_hi);
+  }
+  alignas(16) float mx[4];
+  _mm_store_ps(mx, _mm_max_ps(max_lo, max_hi));
+  return std::max(std::max(mx[0], mx[1]), std::max(mx[2], mx[3]));
+}
+
+/// AVX2 form of lut_run_dsub8_sse2.
+__attribute__((target("avx2"))) float lut_run_dsub8_avx2(
+    const std::int8_t* cb, const float* res, float scale, float* out,
+    std::size_t n) {
   const __m256 scale_v = _mm256_set1_ps(scale);
   __m256 mx = _mm256_setzero_ps();
-  for (std::size_t c = 0; c < 256; c += 8) {
-    lut_block8_dsub8_avx2(cb_seg + c * 8, res, scale_v, lut_row + c, mx);
+  for (std::size_t c = 0; c < n; c += 8) {
+    lut_block8_dsub8_avx2(cb + c * 8, res, scale_v, out + c, mx);
   }
   alignas(32) float tmp[8];
   _mm256_store_ps(tmp, mx);
-  float row_max = tmp[0];
-  for (std::size_t j = 1; j < 8; ++j) row_max = std::max(row_max, tmp[j]);
-  return row_max;
+  float run_max = tmp[0];
+  for (std::size_t j = 1; j < 8; ++j) run_max = std::max(run_max, tmp[j]);
+  return run_max;
 }
 #endif  // __SSE2__
+
+/// Scalar form for any dsub. Entries go 8 at a time: each entry's
+/// accumulation keeps its exact per-dimension operation order (bit-identical
+/// to the one-entry-at-a-time loop), but the eight chains are independent,
+/// which hides the FP add latency that otherwise serializes this loop.
+float lut_run_scalar(const std::int8_t* cb, const float* res, float scale,
+                     float* out, std::size_t n, std::size_t dsub) {
+  float run_max = 0.f;
+  for (std::size_t c = 0; c < n; c += 8) {
+    const std::int8_t* entry = cb + c * dsub;
+    float acc[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
+    for (std::size_t d = 0; d < dsub; ++d) {
+      for (std::size_t u = 0; u < 8; ++u) {
+        const float diff =
+            res[d] - scale * static_cast<float>(entry[u * dsub + d]);
+        acc[u] += diff * diff;
+      }
+    }
+    for (std::size_t u = 0; u < 8; ++u) {
+      out[c + u] = acc[u];
+      run_max = std::max(run_max, acc[u]);
+    }
+  }
+  return run_max;
+}
+
+/// LUT entries [lo, hi) of S0 owned by one tasklet.
+struct LutRange {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+/// Equal contiguous split of the m*256 LUT entries in 8-entry blocks (the
+/// ceil split S2 also uses). 256 % 8 == 0, so a block never crosses a
+/// subspace and every range boundary is a block boundary.
+LutRange lut_range(std::size_t m, unsigned tasklet, unsigned n_tasklets) {
+  constexpr std::size_t kBlock = 8;
+  static_assert(256 % kBlock == 0, "a LUT block must never cross a subspace");
+  const std::size_t n_blocks = m * (256 / kBlock);
+  const std::size_t per = (n_blocks + n_tasklets - 1) / n_tasklets;
+  const std::size_t lo = std::min(n_blocks, tasklet * per);
+  const std::size_t hi = std::min(n_blocks, lo + per);
+  return {lo * kBlock, hi * kBlock};
+}
 
 }  // namespace
 
 void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
   const DpuClusterData& cl = cluster_of(p.item);
-  const std::size_t dim = layout_.dim;
   const std::size_t dsub = layout_.dsub;
   const std::size_t m = layout_.m;
 
-  // Tasklet 0 materializes the residual first (it is the first to run and
-  // the work is tiny relative to the LUT itself). Query and centroid are
-  // read-only, so borrowed MRAM views replace the staging copies.
-  if (ctx.id() == 0) {
-    const std::size_t q_off =
-        input_->queries_off +
-        static_cast<std::size_t>(input_->items[p.item].query_local) * dim *
-            sizeof(float);
-    const float* query = ctx.mram_view_as<float>(q_off, dim * sizeof(float));
-    const float* centroid =
-        ctx.mram_view_as<float>(cl.centroid_off, dim * sizeof(float));
-    for (std::size_t d = 0; d < dim; ++d) {
-      scratch_.residual[d] = query[d] - centroid[d];
-    }
-    ctx.instr(dim * kInstrResidualPerDim);
+  // Tasklets split the m*256 LUT entries into equal contiguous ranges of
+  // 8-entry blocks, so every tasklet issues the same instruction count (to
+  // within one block) and the phase runs at the revolver's issue bound
+  // instead of the busiest tasklet's path. A tasklet with no block idles.
+  const LutRange r = lut_range(m, ctx.id(), ctx.n_tasklets());
+  if (r.lo == r.hi) {
+    scratch_.tasklet_max[ctx.id()] = 0.f;
+    return;
   }
+  const std::size_t s_lo = r.lo / 256;
+  const std::size_t s_hi = (r.hi + 255) / 256;
 
-  // Tasklets split PQ subspaces; each views its codebook segment in MRAM
-  // (charged as the same MRAM->WRAM stream) and fills 256 float LUT
-  // entries, tracking a local max. Entries are processed 8 at a time: each
-  // entry's accumulation keeps its exact per-`c` operation order (so the
-  // result is bit-identical to the one-entry-at-a-time loop), but the eight
-  // chains are independent, which hides the FP add latency that otherwise
-  // serializes this — the single hottest loop in the whole simulator.
+  // Each tasklet materializes the residual slices of the subspaces it
+  // touches instead of reading a residual another tasklet writes in the
+  // same phase. A subspace shared by two ranges is written by both with
+  // identical values, so any interleaving reads the right ones. Query and
+  // centroid are read-only, so borrowed MRAM views replace staging copies.
+  const std::size_t res_lo = s_lo * dsub;
+  const std::size_t res_n = (s_hi - s_lo) * dsub;
+  const std::size_t q_off =
+      input_->queries_off +
+      static_cast<std::size_t>(input_->items[p.item].query_local) *
+          layout_.dim * sizeof(float);
+  const float* query = ctx.mram_view_as<float>(
+      q_off + res_lo * sizeof(float), res_n * sizeof(float));
+  const float* centroid = ctx.mram_view_as<float>(
+      cl.centroid_off + res_lo * sizeof(float), res_n * sizeof(float));
+  float* residual = scratch_.residual.data() + res_lo;
+  for (std::size_t d = 0; d < res_n; ++d) residual[d] = query[d] - centroid[d];
+  ctx.instr(res_n * kInstrResidualPerDim);
+
+  // The tasklet's codebook range is one contiguous MRAM view (charged in
+  // DMAs of at most 2048 B); the range is walked as per-subspace runs so the
+  // SIMD routines take one horizontal max per run, not per block.
   const float* scales =
       ctx.mram_view_as<float>(layout_.cb_scale_off, m * sizeof(float));
+  const std::int8_t* cb = ctx.mram_view_as<std::int8_t>(
+      layout_.codebook_off + r.lo * dsub, (r.hi - r.lo) * dsub);
+#if defined(__SSE2__)
+  const common::SimdLevel simd =
+      dsub == 8 ? common::simd_active_level() : common::SimdLevel::kScalar;
+#endif
   float local_max = 0.f;
-#if defined(__SSE2__)
-  __m128 max_lo = _mm_setzero_ps();
-  __m128 max_hi = _mm_setzero_ps();
-  const common::SimdLevel simd = common::simd_active_level();
-#endif
-  for (std::size_t s = ctx.id(); s < m; s += ctx.n_tasklets()) {
-    const std::int8_t* cb_seg = ctx.mram_view_as<std::int8_t>(
-        layout_.codebook_off + s * 256 * dsub, 256 * dsub);
-    const float scale = scales[s];
+  for (std::size_t s = s_lo; s < s_hi; ++s) {
+    const std::size_t e_lo = std::max(r.lo, s * 256);
+    const std::size_t e_hi = std::min(r.hi, (s + 1) * 256);
+    const std::int8_t* run_cb = cb + (e_lo - r.lo) * dsub;
     const float* res = scratch_.residual.data() + s * dsub;
-    float* lut_row = scratch_.lut_f32.data() + s * 256;
-    static_assert(256 % 8 == 0, "unroll factor must divide the code count");
+    float* out = scratch_.lut_f32.data() + e_lo;
+    const std::size_t n = e_hi - e_lo;
+    float run_max;
 #if defined(__SSE2__)
-    if (dsub == 8 && simd != common::SimdLevel::kScalar) {
-      if (simd == common::SimdLevel::kAvx2) {
-        local_max =
-            std::max(local_max, lut_row_dsub8_avx2(cb_seg, res, scale, lut_row));
-      } else {
-        const __m128 scale_v = _mm_set1_ps(scale);
-        for (std::size_t c = 0; c < 256; c += 8) {
-          lut_block8_dsub8(cb_seg + c * 8, res, scale_v, lut_row + c, max_lo,
-                           max_hi);
-        }
-      }
-      ctx.instr(256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
-      continue;
-    }
+    if (simd == common::SimdLevel::kAvx2) {
+      run_max = lut_run_dsub8_avx2(run_cb, res, scales[s], out, n);
+    } else if (simd == common::SimdLevel::kSse2) {
+      run_max = lut_run_dsub8_sse2(run_cb, res, scales[s], out, n);
+    } else
 #endif
-    for (std::size_t c = 0; c < 256; c += 8) {
-      const std::int8_t* entry = cb_seg + c * dsub;
-      float acc[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-      for (std::size_t d = 0; d < dsub; ++d) {
-        for (std::size_t u = 0; u < 8; ++u) {
-          const float diff =
-              res[d] - scale * static_cast<float>(entry[u * dsub + d]);
-          acc[u] += diff * diff;
-        }
-      }
-      for (std::size_t u = 0; u < 8; ++u) {
-        lut_row[c + u] = acc[u];
-        local_max = std::max(local_max, acc[u]);
-      }
+    {
+      run_max = lut_run_scalar(run_cb, res, scales[s], out, n, dsub);
     }
-    ctx.instr(256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
+    local_max = std::max(local_max, run_max);
   }
-#if defined(__SSE2__)
-  {
-    const __m128 mx4 = _mm_max_ps(max_lo, max_hi);
-    alignas(16) float mx[4];
-    _mm_store_ps(mx, mx4);
-    local_max = std::max(
-        local_max, std::max(std::max(mx[0], mx[1]), std::max(mx[2], mx[3])));
-  }
-#endif
+  ctx.instr((r.hi - r.lo) * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
   scratch_.tasklet_max[ctx.id()] = local_max;
 }
 

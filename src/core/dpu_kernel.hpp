@@ -2,8 +2,10 @@
 //
 // For every (query, cluster) assignment the kernel executes the
 // barrier-separated stages of Fig 6 on up to 24 tasklets:
-//   S0  residual + float LUT construction  (tasklets split PQ subspaces;
-//       codebook segments stream MRAM->WRAM)               [Barrier 1]
+//   S0  residual + float LUT construction  (tasklets split the m*256
+//       entries into equal contiguous ranges of 8-entry blocks; each
+//       streams its codebook range MRAM->WRAM and computes the residual
+//       slices of the subspaces it touches)               [Barrier 1]
 //   S1  LUT scale reduction (tasklet 0)                     [barrier]
 //   S2  LUT quantization to u16, compacted in place         [Barrier 2 prep]
 //   S3  co-occurrence partial sums into the WRAM cache      [Barrier 2]
@@ -166,6 +168,11 @@ class QueryKernel final : public pim::DpuKernel {
   /// Aggregate scanned stream elements (CAE length-reduction visibility).
   std::uint64_t scanned_elements() const { return scanned_elements_; }
   std::uint64_t scanned_records() const { return scanned_records_; }
+
+  /// WRAM mirrors and LUT scale as the last launch left them (tests compare
+  /// the S0-S2 products against a reference).
+  const KernelScratch& scratch() const { return scratch_; }
+  float lut_scale() const { return lut_scale_; }
 
  private:
   enum class Step : std::uint8_t {

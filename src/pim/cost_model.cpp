@@ -16,8 +16,19 @@ double DpuCostModel::mram_dma_cycles(std::size_t bytes) {
          hw::kMramCyclesPerByte * static_cast<double>(legal);
 }
 
-std::uint64_t DpuCostModel::phase_cycles(const std::vector<TaskletWork>& work) {
-  if (work.empty()) return 0;
+const char* phase_bound_name(PhaseBound bound) {
+  switch (bound) {
+    case PhaseBound::kIssue: return "issue";
+    case PhaseBound::kDma: return "dma";
+    case PhaseBound::kPath: return "path";
+  }
+  return "issue";
+}
+
+DpuCostModel::Cost DpuCostModel::phase_cost(
+    const std::vector<TaskletWork>& work) {
+  Cost cost;
+  if (work.empty()) return cost;
   const unsigned gap = issue_gap(static_cast<unsigned>(work.size()));
 
   std::uint64_t sum_instr = 0;
@@ -36,7 +47,13 @@ std::uint64_t DpuCostModel::phase_cycles(const std::vector<TaskletWork>& work) {
   // they add on top of the parallel portion at the saturated issue gap.
   const std::uint64_t crit_serial =
       sum_crit * static_cast<std::uint64_t>(hw::kPipelineSaturation);
-  return std::max({sum_instr, sum_dma, max_path}) + crit_serial;
+  const std::uint64_t shared = std::max(sum_instr, sum_dma);
+  cost.cycles = std::max(shared, max_path) + crit_serial;
+  cost.bound = sum_instr >= sum_dma && sum_instr >= max_path ? PhaseBound::kIssue
+               : sum_dma >= max_path                         ? PhaseBound::kDma
+                                                             : PhaseBound::kPath;
+  cost.path_excess = max_path > shared ? max_path - shared : 0;
+  return cost;
 }
 
 }  // namespace upanns::pim

@@ -29,6 +29,17 @@ struct TaskletWork {
   void clear() { *this = TaskletWork{}; }
 };
 
+/// The bound that set a phase's cycles (see DpuCostModel::phase_cycles).
+enum class PhaseBound : std::uint8_t {
+  kIssue,  ///< pipeline issue bandwidth: sum of instructions
+  kDma,    ///< the single DMA engine: sum of DMA cycles
+  kPath,   ///< one tasklet's own path: gap * instructions + DMA
+};
+inline constexpr std::size_t kPhaseBoundCount = 3;
+
+/// Metric-name suffix of a bound ("issue", "dma", "path").
+const char* phase_bound_name(PhaseBound bound);
+
 class DpuCostModel {
  public:
   /// Latency in cycles of one MRAM<->WRAM DMA transfer of `bytes`.
@@ -51,7 +62,21 @@ class DpuCostModel {
   ///   DMA engine:       sum(dma_cycles)
   ///   per-tasklet path: gap * instructions_t + dma_t
   ///   serialization:    critical sections execute one tasklet at a time.
-  static std::uint64_t phase_cycles(const std::vector<TaskletWork>& work);
+  static std::uint64_t phase_cycles(const std::vector<TaskletWork>& work) {
+    return phase_cost(work).cycles;
+  }
+
+  /// phase_cycles plus which bound set them. The gap is at least the
+  /// tasklet count, so without critical sections the busiest tasklet's path
+  /// is never below the issue bound and most phases report kPath;
+  /// path_excess says by how much that path outlasted the shared issue and
+  /// DMA bounds — the cycles a better split of the work could recover.
+  struct Cost {
+    std::uint64_t cycles = 0;
+    PhaseBound bound = PhaseBound::kIssue;  ///< ties: issue, DMA, then path
+    std::uint64_t path_excess = 0;
+  };
+  static Cost phase_cost(const std::vector<TaskletWork>& work);
 
   /// Fixed cost of a barrier crossing (wake-up + bookkeeping).
   static constexpr std::uint64_t barrier_cycles() { return 64; }

@@ -164,9 +164,11 @@ DpuRunStats Dpu::run(DpuKernel& kernel, unsigned n_tasklets) {
                             run_works_[t].critical_instructions;
       stats.dma_cycles += run_works_[t].dma_cycles;
     }
-    const std::uint64_t pc =
-        DpuCostModel::phase_cycles(run_works_) + DpuCostModel::barrier_cycles();
+    const DpuCostModel::Cost cost = DpuCostModel::phase_cost(run_works_);
+    const std::uint64_t pc = cost.cycles + DpuCostModel::barrier_cycles();
     stats.phase_cycles.push_back(pc);
+    stats.bound_cycles[static_cast<std::size_t>(cost.bound)] += pc;
+    stats.path_excess_cycles += cost.path_excess;
     stats.cycles += pc;
   }
   busy_cycles_ += stats.cycles;
@@ -220,6 +222,8 @@ PimSystem::LaunchStats PimSystem::launch(
     obs::Histogram& busy = metrics_->histogram("pim.dpu.busy_seconds");
     std::size_t active = 0;
     std::uint64_t instructions = 0, dma_cycles = 0;
+    std::array<std::uint64_t, kPhaseBoundCount> bound_cycles{};
+    std::uint64_t path_excess = 0;
     std::vector<std::uint64_t> phase_cycles;
     for (std::size_t i = 0; i < out.dpu_stats.size(); ++i) {
       const DpuRunStats& st = out.dpu_stats[i];
@@ -228,6 +232,10 @@ PimSystem::LaunchStats PimSystem::launch(
       busy.observe(out.dpu_seconds[i]);
       instructions += st.instructions;
       dma_cycles += st.dma_cycles;
+      for (std::size_t b = 0; b < kPhaseBoundCount; ++b) {
+        bound_cycles[b] += st.bound_cycles[b];
+      }
+      path_excess += st.path_excess_cycles;
       if (phase_cycles.size() < st.phase_cycles.size()) {
         phase_cycles.resize(st.phase_cycles.size(), 0);
       }
@@ -243,6 +251,13 @@ PimSystem::LaunchStats PimSystem::launch(
       metrics_->counter("pim.launch.phase_cycles." + std::to_string(p))
           .add(phase_cycles[p]);
     }
+    for (std::size_t b = 0; b < kPhaseBoundCount; ++b) {
+      metrics_
+          ->counter(std::string("pim.launch.bound_cycles.") +
+                    phase_bound_name(static_cast<PhaseBound>(b)))
+          .add(bound_cycles[b]);
+    }
+    metrics_->counter("pim.launch.path_excess_cycles").add(path_excess);
     metrics_->gauge("pim.launch.tasklets").set(static_cast<double>(
         std::clamp(n_tasklets, 1u, hw::kMaxTasklets)));
     metrics_->gauge("pim.launch.tasklet_occupancy")

@@ -15,6 +15,7 @@
 // WRAM offsets, 8-byte-aligned DMA) so they port 1:1 to dpu-upmem-dpurte.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -105,6 +106,11 @@ struct DpuRunStats {
   std::vector<std::uint64_t> phase_cycles;
   std::uint64_t instructions = 0;
   std::uint64_t dma_cycles = 0;
+  /// Cycles (barrier included) of the phases each PhaseBound set, indexed
+  /// by the enum; the entries sum to `cycles`.
+  std::array<std::uint64_t, kPhaseBoundCount> bound_cycles{};
+  /// Sum of DpuCostModel::Cost::path_excess over the phases.
+  std::uint64_t path_excess_cycles = 0;
 
   double seconds() const { return DpuCostModel::cycles_to_seconds(cycles); }
 };
@@ -205,7 +211,9 @@ class PimSystem {
                      unsigned n_tasklets);
 
   /// Attach a metrics registry: every launch records per-DPU busy seconds,
-  /// tasklet occupancy, per-phase cycle totals and instruction/DMA counters.
+  /// tasklet occupancy, per-phase cycle totals, instruction/DMA counters and
+  /// the cycles each phase bound set (pim.launch.bound_cycles.{issue,dma,path})
+  /// and the path excess over the shared bounds (pim.launch.path_excess_cycles).
   /// nullptr (the default) keeps launch() untouched.
   void set_metrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
 

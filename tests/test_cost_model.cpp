@@ -115,6 +115,32 @@ TEST(PhaseCycles, EmptyIsZero) {
   EXPECT_EQ(DpuCostModel::phase_cycles({}), 0u);
 }
 
+TEST(PhaseCost, ReportsWhichBoundSetThePhase) {
+  // Balanced with no DMA at T = 11: issue and path tie; ties go to issue.
+  auto w = balanced(11, 100);
+  DpuCostModel::Cost c = DpuCostModel::phase_cost(w);
+  EXPECT_EQ(c.bound, PhaseBound::kIssue);
+  EXPECT_EQ(c.cycles, 1100u);
+  EXPECT_EQ(c.path_excess, 0u);
+
+  // DMA-heavy: the single engine binds.
+  c = DpuCostModel::phase_cost(balanced(11, 10, /*dma=*/50000));
+  EXPECT_EQ(c.bound, PhaseBound::kDma);
+  EXPECT_EQ(c.path_excess, 0u);
+
+  // A straggler: its path outlasts the issue bound by the excess.
+  w[3].instructions = 10000;
+  c = DpuCostModel::phase_cost(w);
+  EXPECT_EQ(c.bound, PhaseBound::kPath);
+  EXPECT_EQ(c.cycles, 11u * 10000u);
+  EXPECT_EQ(c.path_excess, 11u * 10000u - (10u * 100u + 10000u));
+  EXPECT_EQ(DpuCostModel::phase_cycles(w), c.cycles);
+
+  EXPECT_STREQ(phase_bound_name(PhaseBound::kIssue), "issue");
+  EXPECT_STREQ(phase_bound_name(PhaseBound::kDma), "dma");
+  EXPECT_STREQ(phase_bound_name(PhaseBound::kPath), "path");
+}
+
 TEST(Cycles, SecondsConversion) {
   EXPECT_DOUBLE_EQ(DpuCostModel::cycles_to_seconds(350'000'000), 1.0);
 }

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "obs/metrics.hpp"
+
 namespace upanns::pim {
 namespace {
 
@@ -149,6 +151,43 @@ TEST(PimSystem, LaunchTakesMaxOverDpus) {
   EXPECT_GT(stats.dpu_seconds[2], stats.dpu_seconds[0]);
   EXPECT_GE(stats.seconds,
             DpuCostModel::cycles_to_seconds(stats.max_cycles));
+}
+
+TEST(PimSystem, BoundCyclesBookedOnlyWithMetrics) {
+  // Phase 0 is balanced (issue-bound at 11 tasklets), phase 1 has one
+  // straggler (path-bound).
+  class TwoPhase : public DpuKernel {
+   public:
+    unsigned n_phases() const override { return 2; }
+    void run_phase(unsigned phase, TaskletCtx& ctx) override {
+      ctx.instr(phase == 1 && ctx.id() == 0 ? 5000 : 100);
+    }
+  } k;
+  const auto kernel_for = [&](std::size_t) -> DpuKernel* { return &k; };
+  PimSystem plain(2);
+  const auto a = plain.launch(kernel_for, 11);
+  const DpuRunStats& st = a.dpu_stats[0];
+  const std::uint64_t barrier = DpuCostModel::barrier_cycles();
+  EXPECT_EQ(st.bound_cycles[0], 1100u + barrier);
+  EXPECT_EQ(st.bound_cycles[1], 0u);
+  EXPECT_EQ(st.bound_cycles[2], 11u * 5000u + barrier);
+  EXPECT_EQ(st.bound_cycles[0] + st.bound_cycles[1] + st.bound_cycles[2],
+            st.cycles);
+  EXPECT_EQ(st.path_excess_cycles, 11u * 5000u - (5000u + 10u * 100u));
+
+  obs::MetricsRegistry reg;
+  PimSystem traced(2);
+  traced.set_metrics(&reg);
+  const auto b = traced.launch(kernel_for, 11);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.max_cycles, b.max_cycles);
+  EXPECT_EQ(reg.counter("pim.launch.bound_cycles.issue").value(),
+            2 * st.bound_cycles[0]);
+  EXPECT_EQ(reg.counter("pim.launch.bound_cycles.dma").value(), 0u);
+  EXPECT_EQ(reg.counter("pim.launch.bound_cycles.path").value(),
+            2 * st.bound_cycles[2]);
+  EXPECT_EQ(reg.counter("pim.launch.path_excess_cycles").value(),
+            2 * st.path_excess_cycles);
 }
 
 TEST(PimSystem, NullKernelSkipsDpu) {

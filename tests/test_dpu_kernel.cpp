@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/rng.hpp"
+#include "common/simd_dispatch.hpp"
 #include "core/engine.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
@@ -181,6 +184,218 @@ TEST(Kernel, MergeStatsConsistent) {
   // cannot exceed the total local-heap contents.
   EXPECT_GT(r.pim->merge_insertions, 0u);
   EXPECT_GT(r.pim->scanned_records, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// S0-S2 under the block split, against a hand-built MRAM image: one cluster
+// with no records, so a run is exactly LUT build, reduce, quantize and an
+// empty merge.
+
+std::vector<common::SimdLevel> supported_levels() {
+  std::vector<common::SimdLevel> out;
+  for (const auto l : {common::SimdLevel::kScalar, common::SimdLevel::kSse2,
+                       common::SimdLevel::kAvx2}) {
+    if (static_cast<int>(l) <= static_cast<int>(common::simd_max_supported())) {
+      out.push_back(l);
+    }
+  }
+  return out;
+}
+
+/// Restore the dispatch level on scope exit so test order cannot leak.
+struct LevelGuard {
+  common::SimdLevel prev = common::simd_active_level();
+  ~LevelGuard() { common::set_simd_level(prev); }
+};
+
+struct LutImage {
+  pim::Dpu dpu{0};
+  DpuStaticLayout layout;
+  DpuLaunchInput input;
+  std::vector<std::int8_t> codebook;
+  std::vector<float> scales, query, centroid;
+
+  LutImage(std::size_t m, std::size_t dsub, std::uint64_t seed) {
+    common::Rng rng(seed);
+    layout.m = m;
+    layout.dsub = dsub;
+    layout.dim = m * dsub;
+    codebook.resize(m * 256 * dsub);
+    for (auto& c : codebook) {
+      c = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
+    }
+    for (std::size_t s = 0; s < m; ++s) {
+      scales.push_back(rng.uniform(0.002f, 0.05f));
+    }
+    for (std::size_t d = 0; d < layout.dim; ++d) {
+      query.push_back(rng.uniform(-2.f, 2.f));
+      centroid.push_back(rng.uniform(-2.f, 2.f));
+    }
+    layout.codebook_off = put(codebook.data(), codebook.size());
+    layout.cb_scale_off = put(scales.data(), m * sizeof(float));
+    DpuClusterData cl;
+    cl.centroid_off = put(centroid.data(), layout.dim * sizeof(float));
+    layout.clusters.push_back(cl);
+    input.k = 4;
+    input.n_queries = 1;
+    input.queries_off = put(query.data(), layout.dim * sizeof(float));
+    input.results_off = dpu.mram_alloc(input.k * 8, "results");
+    input.items.push_back({0, 0});
+  }
+
+  std::size_t put(const void* src, std::size_t bytes) {
+    const std::size_t off = dpu.mram_alloc(bytes, "image");
+    dpu.host_write(off, src, bytes);
+    return off;
+  }
+
+  /// Per-subspace reference: one entry at a time, in subspace order.
+  void reference(std::vector<float>& lut, std::vector<std::uint16_t>& lut_u16,
+                 float& scale) const {
+    const std::size_t m = layout.m, dsub = layout.dsub;
+    lut.assign(m * 256, 0.f);
+    float mx = 0.f;
+    for (std::size_t s = 0; s < m; ++s) {
+      for (std::size_t e = 0; e < 256; ++e) {
+        float acc = 0.f;
+        for (std::size_t d = 0; d < dsub; ++d) {
+          const float res = query[s * dsub + d] - centroid[s * dsub + d];
+          const float diff =
+              res - scales[s] *
+                        static_cast<float>(codebook[(s * 256 + e) * dsub + d]);
+          acc += diff * diff;
+        }
+        lut[s * 256 + e] = acc;
+        mx = std::max(mx, acc);
+      }
+    }
+    scale = mx > 0.f ? mx / 65000.f : 1.f;
+    const float inv = 1.f / scale;
+    lut_u16.resize(lut.size());
+    for (std::size_t i = 0; i < lut.size(); ++i) {
+      lut_u16[i] = static_cast<std::uint16_t>(
+          std::round(std::min(65535.f, lut[i] * inv)));
+    }
+  }
+};
+
+TEST(LutSplit, BitIdenticalToPerSubspaceReference) {
+  LevelGuard guard;
+  for (const std::size_t m : {std::size_t{12}, std::size_t{16}}) {
+    // dsub 8 takes the SIMD routines; 6 is the scalar path.
+    for (const std::size_t dsub : {std::size_t{8}, std::size_t{6}}) {
+      LutImage img(m, dsub, 100 + m * 10 + dsub);
+      std::vector<float> want;
+      std::vector<std::uint16_t> want_u16;
+      float want_scale = 0.f;
+      img.reference(want, want_u16, want_scale);
+      for (const auto level : supported_levels()) {
+        common::set_simd_level(level);
+        for (const unsigned t : {1u, 2u, 3u, 11u, 16u, 24u}) {
+          QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+                             /*prune_topk=*/true);
+          img.dpu.run(kernel, t);
+          const KernelScratch& got = kernel.scratch();
+          const std::string where = "m=" + std::to_string(m) +
+                                    " dsub=" + std::to_string(dsub) +
+                                    " level=" + common::simd_level_name(level) +
+                                    " tasklets=" + std::to_string(t);
+          ASSERT_EQ(got.lut_f32.size(), want.size()) << where;
+          EXPECT_EQ(std::memcmp(got.lut_f32.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << where;
+          EXPECT_EQ(got.lut_u16, want_u16) << where;
+          const float scale = kernel.lut_scale();
+          EXPECT_EQ(std::memcmp(&scale, &want_scale, sizeof(float)), 0)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(LutSplit, BuildPhaseWithinOneBlockOfIssueBound) {
+  // T = 11 fills the revolver exactly, so the issue bound is the phase's
+  // floor. The old one-subspace-per-tasklet split gave tasklets 0-4 two
+  // 256-entry rows and ran at 11 x 2 rows; the block split must leave the
+  // busiest tasklet's path at most one 8-entry block (at the issue gap)
+  // above the issue bound, plus that tasklet's own DMA wait.
+  constexpr unsigned kT = 11;
+  constexpr std::size_t kM = 16, kDsub = 8;
+  LutImage img(kM, kDsub, 7);
+  QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+                     /*prune_topk=*/true);
+  kernel.setup(img.dpu, kT);
+  std::vector<pim::TaskletWork> works;
+  for (unsigned t = 0; t < kT; ++t) {
+    pim::TaskletCtx ctx(img.dpu, t, kT);
+    kernel.run_phase(0, ctx);  // phase 0 is the first item's S0
+    works.push_back(ctx.work());
+  }
+  std::uint64_t issue = 0, max_dma = 0;
+  for (const auto& w : works) {
+    issue += w.instructions;
+    max_dma = std::max(max_dma, w.dma_cycles);
+  }
+  const std::uint64_t block_instr = 8 * (kDsub * 3 + 3);
+  const std::uint64_t row_instr = 256 * (kDsub * 3 + 3);
+  ASSERT_GE(issue, kM * row_instr);
+  const std::uint64_t cycles = pim::DpuCostModel::phase_cycles(works);
+  EXPECT_GE(cycles, issue);
+  EXPECT_LE(cycles, issue + kT * block_instr + max_dma);
+  // The old split's floor, for contrast: two rows on one tasklet.
+  EXPECT_LT(cycles, kT * 2 * row_instr);
+}
+
+TEST(LutSplit, TaskletWithoutBlockReportsZeroMax) {
+  // m = 2 has 64 blocks; at 24 tasklets the ceil split hands out 3 blocks
+  // each, so tasklet 21 gets the last one and tasklets 22-23 get none.
+  LutImage img(2, 8, 9);
+  QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+                     /*prune_topk=*/true);
+  img.dpu.run(kernel, 24);
+  const std::vector<float>& mx = kernel.scratch().tasklet_max;
+  ASSERT_EQ(mx.size(), 24u);
+  EXPECT_GT(mx[21], 0.f);
+  EXPECT_EQ(mx[22], 0.f);
+  EXPECT_EQ(mx[23], 0.f);
+  std::vector<float> want;
+  std::vector<std::uint16_t> want_u16;
+  float want_scale = 0.f;
+  img.reference(want, want_u16, want_scale);
+  EXPECT_EQ(kernel.lut_scale(), want_scale);
+}
+
+TEST(LutSplit, EngineNeighborsByteIdenticalAcrossTaskletsAndLevels) {
+  LevelGuard guard;
+  auto& f = fixture();
+  const auto search = [&](unsigned t) {
+    UpAnnsOptions o = tiny_options(false);
+    o.n_tasklets = t;
+    UpAnnsEngine engine(f.index, f.stats, o);
+    return engine.search(f.wl.queries).neighbors;
+  };
+  common::set_simd_level(common::SimdLevel::kScalar);
+  const auto want = search(11);
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    for (unsigned t = 1; t <= 24; ++t) {
+      const auto got = search(t);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        ASSERT_EQ(got[q].size(), want[q].size());
+        for (std::size_t i = 0; i < want[q].size(); ++i) {
+          EXPECT_EQ(got[q][i].id, want[q][i].id)
+              << "tasklets=" << t << " level=" << common::simd_level_name(level);
+          EXPECT_EQ(std::memcmp(&got[q][i].dist, &want[q][i].dist,
+                                sizeof(float)),
+                    0)
+              << "tasklets=" << t << " level=" << common::simd_level_name(level);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

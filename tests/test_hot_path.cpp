@@ -247,12 +247,22 @@ struct MiniKernel {
   std::uint64_t expected_dma_cycles(unsigned t) const {
     const DpuClusterData& cl = layout.clusters[0];
     std::uint64_t total = 0;
-    // S0 LUT build: tasklet 0 views query + centroid; every tasklet views
-    // the scale table; each subspace's codebook segment is viewed by its
-    // owning tasklet.
-    total += 2 * dma(kDim * sizeof(float));
-    total += t * dma(kM * sizeof(float));
-    total += kM * dma(256 * kDsub);
+    // S0 LUT build: the kM*256 entries split into equal contiguous ranges
+    // of 8-entry blocks (ceil split). A tasklet with a range views the
+    // query and centroid slices of the subspaces it touches, the scale
+    // table, and its codebook range (at most the whole 2048 B codebook
+    // here, so one DMA); a tasklet with an empty range views nothing.
+    const std::size_t n_blocks = kM * 256 / 8;
+    const std::size_t per = (n_blocks + t - 1) / t;
+    for (unsigned id = 0; id < t; ++id) {
+      const std::size_t lo = std::min(n_blocks, id * per) * 8;
+      const std::size_t hi = std::min(n_blocks * 8, lo + per * 8);
+      if (lo == hi) continue;
+      const std::size_t subspaces = (hi + 255) / 256 - lo / 256;
+      total += 2 * dma(subspaces * kDsub * sizeof(float));
+      total += dma(kM * sizeof(float));
+      total += dma((hi - lo) * kDsub);
+    }
     // S4 distance: one chunk-index slice DMA per tasklet — ceil(n_chunks/t)
     // entries, capped at the table. This is the accounting under test: the
     // seed additionally charged a 4-instruction tasklet-0 staging pass.
@@ -277,7 +287,7 @@ struct MiniKernel {
 };
 
 TEST(HotPath, ChunkIndexDmaChargedPerTaskletSlice) {
-  for (unsigned t : {1u, 2u, 3u}) {
+  for (unsigned t : {1u, 2u, 3u, 11u, 24u}) {
     MiniKernel mini;
     QueryKernel kernel(mini.layout, mini.input, KernelMode::kDirectTokens,
                        /*prune_topk=*/true);

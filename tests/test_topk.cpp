@@ -118,6 +118,18 @@ TEST(MergeSortedTopk, FewerThanK) {
   EXPECT_EQ(merged.size(), 1u);
 }
 
+TEST(MergeSortedTopk, TiedDistancesIndependentOfListOrder) {
+  // The k-th distance ties across lists; the smaller id must win no matter
+  // which list arrives first.
+  const std::vector<Neighbor> a = {{1.f, 10}, {2.f, 30}};
+  const std::vector<Neighbor> b = {{1.f, 11}, {2.f, 20}, {2.f, 21}};
+  const auto ab = merge_sorted_topk({a, b}, 3);
+  const auto ba = merge_sorted_topk({b, a}, 3);
+  EXPECT_EQ(ab, ba);
+  const std::vector<Neighbor> expect = {{1.f, 10}, {1.f, 11}, {2.f, 20}};
+  EXPECT_EQ(ab, expect);
+}
+
 TEST(MergeSortedTopk, PropertyMatchesGlobalSort) {
   Rng rng(77);
   for (int trial = 0; trial < 25; ++trial) {
