@@ -160,6 +160,7 @@ struct KernelImage {
   pim::Dpu dpu{0};
   core::DpuStaticLayout layout;
   core::DpuLaunchInput input;
+  std::vector<float> query_row;  ///< the pushed query row (host-mirrored)
 
   KernelImage(core::KernelMode mode, std::size_t n_records) {
     common::Rng rng(17);
@@ -218,14 +219,18 @@ struct KernelImage {
                      chunk_index.size() * sizeof(std::uint32_t));
     }
     cl.centroid_off = dpu.mram_alloc(kDim * sizeof(float), "centroid");
+    // Token modes add up precomputed tables; zeros keep the scan's work
+    // independent of their values.
+    cl.table_off = dpu.mram_alloc(kM * 256 * sizeof(float), "cluster-table");
     layout.clusters.push_back(cl);
 
     input.k = kK;
-    input.queries_off = dpu.mram_alloc(kDim * sizeof(float), "query");
-    const auto q = random_vecs(1, kDim, 23);
-    dpu.host_write(input.queries_off, q.data(), kDim * sizeof(float));
+    input.query_rows = {0};
+    query_row = random_vecs(1, kDim, 23);
+    query_row.resize(core::query_row_floats(layout, mode), 0.f);
+    dpu.mram_mirror(query_row.data(), input.query_rows.data(), 1,
+                    query_row.size() * sizeof(float), "batch-queries");
     input.results_off = dpu.mram_alloc(kK * 8, "results");
-    input.n_queries = 1;
     input.items.push_back({0, 0});
   }
 };

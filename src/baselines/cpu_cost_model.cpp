@@ -52,6 +52,13 @@ std::size_t CpuCostModel::scan_bytes(const QueryWorkProfile& p) {
   return p.total_candidates * (p.m + sizeof(std::uint32_t));
 }
 
+double CpuCostModel::query_table_seconds(const QueryWorkProfile& p) {
+  const double nq = static_cast<double>(p.n_queries);
+  const double flops = nq * 256.0 * static_cast<double>(p.dim) * 2.0;
+  const double bytes = nq * static_cast<double>(p.m) * 256.0 * 4.0;
+  return std::max(compute_time(flops), memory_time(bytes));
+}
+
 StageTimes CpuCostModel::stage_times(const QueryWorkProfile& p) {
   StageTimes t;
   const double nq = static_cast<double>(p.n_queries);

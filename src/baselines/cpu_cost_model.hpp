@@ -17,6 +17,11 @@ class CpuCostModel {
  public:
   static StageTimes stage_times(const QueryWorkProfile& p);
 
+  /// One precomputed IVF-PQ query table per query (-2<q_s, y_sj> for every
+  /// subspace s and codeword j): 256 x dim multiply-adds, written as
+  /// m x 256 floats. Unlike stage (b) this is per query, not per probe.
+  static double query_table_seconds(const QueryWorkProfile& p);
+
   /// Bytes streamed from memory during the distance-calculation stage:
   /// every scanned candidate reads its m code bytes plus its id.
   static std::size_t scan_bytes(const QueryWorkProfile& p);

@@ -23,12 +23,18 @@ namespace {
 // arithmetic the raw-code path pays per element.
 constexpr std::uint64_t kInstrLutPerDim = 3;      // load cb, dequant-sub, fma
 constexpr std::uint64_t kInstrLutPerEntry = 3;    // max-track, store, loop
+// Precomputed S0, per entry on top of kInstrLutPerEntry: load B, load C (both
+// from the WRAM staging buffers), add A_s, add C, clamp at 0 (a sign-test
+// select, like the tombstone mask). Versus dsub * kInstrLutPerDim, this is
+// the multiply-add work the host-side tables take off the DPU.
+constexpr std::uint64_t kInstrLutTablePerEntry = 5;
 constexpr std::uint64_t kInstrQuantPerEntry = 3;  // load, scale, store
 constexpr std::uint64_t kInstrComboPerSlot = 8;   // 3 loads + 2 adds + store + addr
 constexpr std::uint64_t kInstrTokenScan = 3;      // load token, LUT load, add
 constexpr std::uint64_t kInstrRawScan = 4;        // + running-base addressing
 constexpr std::uint64_t kInstrRecordOverhead = 5; // header, loop, compare, scale
-constexpr std::uint64_t kInstrResidualPerDim = 3; // load, sub, store
+constexpr std::uint64_t kInstrResidualPerDim = 3; // load, sub, store (or
+                                                  // square-accumulate: A_s)
 constexpr std::uint64_t kInstrTombstoneMask = 1;  // id-vs-sentinel select
 
 std::uint64_t heap_push_cost(std::size_t k) {
@@ -50,6 +56,50 @@ void note_hot_path_allocation() {
   g_hot_path_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace detail
+
+LutCodebook::LutCodebook(const std::int8_t* codes, const float* scales,
+                         std::size_t m, std::size_t dsub)
+    : m_(m), dsub_(dsub), yt_(m * dsub * 256) {
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t j = 0; j < 256; ++j) {
+      for (std::size_t d = 0; d < dsub; ++d) {
+        yt_[(s * dsub + d) * 256 + j] =
+            scales[s] * static_cast<float>(codes[(s * 256 + j) * dsub + d]);
+      }
+    }
+  }
+}
+
+void LutCodebook::query_table(const float* query, float* out) const {
+  for (std::size_t s = 0; s < m_; ++s) {
+    float* o = out + s * 256;
+    std::fill(o, o + 256, 0.f);
+    for (std::size_t d = 0; d < dsub_; ++d) {
+      const float q = query[s * dsub_ + d];
+      const float* y = yt_.data() + (s * dsub_ + d) * 256;
+      for (std::size_t j = 0; j < 256; ++j) o[j] += q * y[j];
+    }
+    for (std::size_t j = 0; j < 256; ++j) o[j] *= -2.f;  // exact
+  }
+}
+
+void LutCodebook::cluster_table(const float* centroid, float* out) const {
+  float dot[256];
+  for (std::size_t s = 0; s < m_; ++s) {
+    float* o = out + s * 256;
+    std::fill(o, o + 256, 0.f);
+    std::fill(dot, dot + 256, 0.f);
+    for (std::size_t d = 0; d < dsub_; ++d) {
+      const float c = centroid[s * dsub_ + d];
+      const float* y = yt_.data() + (s * dsub_ + d) * 256;
+      for (std::size_t j = 0; j < 256; ++j) {
+        o[j] += y[j] * y[j];
+        dot[j] += c * y[j];
+      }
+    }
+    for (std::size_t j = 0; j < 256; ++j) o[j] += 2.f * dot[j];
+  }
+}
 
 QueryKernel::QueryKernel(const DpuStaticLayout& layout,
                          const DpuLaunchInput& input, KernelMode mode,
@@ -111,11 +161,21 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
     wram_combo_off = wram.alloc(max_combos * sizeof(std::uint32_t),
                                 "combo-partial-sums");
   }
+  query_row_bytes_ = query_row_floats(layout_, mode_) * sizeof(float);
   wram_query_off = wram.alloc(layout_.dim * sizeof(float), "query-residual");
   // Float LUT region; the u16 LUT compacts into its first half in place.
   wram_lut_off = wram.alloc(m * 256 * sizeof(float), "lut");
+  // The S0 staging region keeps the codebook's footprint in every mode. The
+  // precomputed S0 splits it into 2 * n_tasklets buffers (B and C per
+  // tasklet) of whole 8-entry blocks, at most one maximal DMA each.
+  const std::size_t stage_region = m * 256 * layout_.dsub;
+  const char* stage_tag =
+      mode_ == KernelMode::kNaiveRaw ? "codebook" : "lut-staging";
+  stage_entries_ = std::clamp<std::size_t>(
+      stage_region / (2 * n_tasklets) / (8 * sizeof(float)) * 8, 8,
+      hw::kMramMaxTransfer / sizeof(float));
   wram_codebook_mark = wram.mark();
-  wram_codebook_off = wram.alloc(m * 256 * layout_.dsub, "codebook");
+  wram_codebook_off = wram.alloc(stage_region, stage_tag);
 
   // Per-tasklet stream buffers must hold a full chunk (plus its ids) so
   // records never straddle buffers; verify the reuse region can host them.
@@ -133,7 +193,7 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
       wram.alloc(per_tasklet_buf_bytes_, "stream-buffer");
     }
     wram.rewind(wram_codebook_mark);
-    wram.alloc(m * 256 * layout_.dsub, "codebook");
+    wram.alloc(stage_region, stage_tag);
   }
 
   // Functional mirrors, reused from the scratch arena across launches.
@@ -358,9 +418,105 @@ LutRange lut_range(std::size_t m, unsigned tasklet, unsigned n_tasklets) {
   return {lo * kBlock, hi * kBlock};
 }
 
+/// One staged piece of the precomputed S0: out[j] = max(0, (a + b[j]) +
+/// c[j]) for n entries (n % 8 == 0); returns the piece max. The SSE2 form
+/// runs the scalar form's IEEE add, add and select per lane (maxps(v, 0)
+/// yields 0 exactly where v > 0 is false), and a max over non-negative,
+/// non-NaN values is order-free, so both forms agree bit for bit.
+float lut_tables_piece(float a, const float* b, const float* c, float* out,
+                       std::size_t n, [[maybe_unused]] bool vector) {
+  assert(n % 8 == 0);
+#if defined(__SSE2__)
+  if (vector) {
+    const __m128 zero = _mm_setzero_ps();
+    const __m128 av = _mm_set1_ps(a);
+    __m128 mx = zero;
+    for (std::size_t j = 0; j < n; j += 4) {
+      const __m128 v = _mm_max_ps(
+          _mm_add_ps(_mm_add_ps(av, _mm_loadu_ps(b + j)), _mm_loadu_ps(c + j)),
+          zero);
+      _mm_storeu_ps(out + j, v);
+      mx = _mm_max_ps(mx, v);
+    }
+    alignas(16) float lanes[4];
+    _mm_store_ps(lanes, mx);
+    return std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
+  }
+#endif
+  float mx = 0.f;
+  for (std::size_t j = 0; j < n; ++j) {
+    const float v = (a + b[j]) + c[j];
+    out[j] = v > 0.f ? v : 0.f;
+    mx = std::max(mx, out[j]);
+  }
+  return mx;
+}
+
 }  // namespace
 
 void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
+  if (mode_ == KernelMode::kNaiveRaw) return phase_lut_build_codebook(p, ctx);
+  const DpuClusterData& cl = cluster_of(p.item);
+  const std::size_t dsub = layout_.dsub;
+  const std::size_t m = layout_.m;
+
+  // Same block split as the codebook S0 below: every tasklet issues the same
+  // instruction count to within one block. A tasklet with no block idles.
+  const LutRange r = lut_range(m, ctx.id(), ctx.n_tasklets());
+  if (r.lo == r.hi) {
+    scratch_.tasklet_max[ctx.id()] = 0.f;
+    return;
+  }
+  const std::size_t s_lo = r.lo / 256;
+  const std::size_t s_hi = (r.hi + 255) / 256;
+
+  // Query and centroid slices of the subspaces the range touches, as
+  // borrowed views (A_s below). A subspace shared by two ranges is computed
+  // by both with identical values.
+  const std::size_t res_lo = s_lo * dsub;
+  const std::size_t res_n = (s_hi - s_lo) * dsub;
+  const std::size_t q_row =
+      static_cast<std::size_t>(input_->items[p.item].query_local) *
+      query_row_bytes_;
+  const float* query = ctx.mirror_view_as<float>(
+      q_row + res_lo * sizeof(float), res_n * sizeof(float));
+  const float* centroid = ctx.mram_view_as<float>(
+      cl.centroid_off + res_lo * sizeof(float), res_n * sizeof(float));
+  ctx.instr(res_n * kInstrResidualPerDim);
+
+  // Per touched subspace: A_s = |q_s - c_s|^2, then stream the run's B slice
+  // (the query row's table, after the vector) and C slice (the replica's
+  // cluster table) through the staging buffers and emit A + B + C clamped
+  // at 0, so S2's round_nonneg domain holds where cancellation rounds
+  // below 0.
+  const std::size_t b_off = q_row + layout_.dim * sizeof(float);
+  const bool vector = common::simd_active_level() != common::SimdLevel::kScalar;
+  float local_max = 0.f;
+  for (std::size_t s = s_lo; s < s_hi; ++s) {
+    float a = 0.f;
+    for (std::size_t d = (s - s_lo) * dsub; d < (s - s_lo + 1) * dsub; ++d) {
+      const float diff = query[d] - centroid[d];
+      a += diff * diff;
+    }
+    const std::size_t e_hi = std::min(r.hi, (s + 1) * 256);
+    for (std::size_t e = std::max(r.lo, s * 256); e < e_hi;
+         e += stage_entries_) {
+      const std::size_t n = std::min(stage_entries_, e_hi - e);
+      const float* b = ctx.mirror_view_as<float>(b_off + e * sizeof(float),
+                                                 n * sizeof(float));
+      const float* c = ctx.mram_view_as<float>(
+          cl.table_off + e * sizeof(float), n * sizeof(float));
+      local_max = std::max(
+          local_max, lut_tables_piece(a, b, c, scratch_.lut_f32.data() + e, n,
+                                      vector));
+    }
+  }
+  ctx.instr((r.hi - r.lo) * (kInstrLutTablePerEntry + kInstrLutPerEntry));
+  scratch_.tasklet_max[ctx.id()] = local_max;
+}
+
+void QueryKernel::phase_lut_build_codebook(const Phase& p,
+                                           pim::TaskletCtx& ctx) {
   const DpuClusterData& cl = cluster_of(p.item);
   const std::size_t dsub = layout_.dsub;
   const std::size_t m = layout_.m;
@@ -384,12 +540,11 @@ void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
   // centroid are read-only, so borrowed MRAM views replace staging copies.
   const std::size_t res_lo = s_lo * dsub;
   const std::size_t res_n = (s_hi - s_lo) * dsub;
-  const std::size_t q_off =
-      input_->queries_off +
+  const std::size_t q_row =
       static_cast<std::size_t>(input_->items[p.item].query_local) *
-          layout_.dim * sizeof(float);
-  const float* query = ctx.mram_view_as<float>(
-      q_off + res_lo * sizeof(float), res_n * sizeof(float));
+      query_row_bytes_;
+  const float* query = ctx.mirror_view_as<float>(
+      q_row + res_lo * sizeof(float), res_n * sizeof(float));
   const float* centroid = ctx.mram_view_as<float>(
       cl.centroid_off + res_lo * sizeof(float), res_n * sizeof(float));
   float* residual = scratch_.residual.data() + res_lo;

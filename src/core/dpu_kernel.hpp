@@ -2,10 +2,17 @@
 //
 // For every (query, cluster) assignment the kernel executes the
 // barrier-separated stages of Fig 6 on up to 24 tasklets:
-//   S0  residual + float LUT construction  (tasklets split the m*256
-//       entries into equal contiguous ranges of 8-entry blocks; each
-//       streams its codebook range MRAM->WRAM and computes the residual
-//       slices of the subspaces it touches)               [Barrier 1]
+//   S0  float LUT construction                            [Barrier 1]
+//       Tasklets split the m*256 entries into equal contiguous ranges of
+//       8-entry blocks. UpANNS modes use precomputed IVF-PQ tables
+//       (DESIGN.md §6): LUT_sj = A_s + B_sj + C_sj, clamped at 0, where
+//       A_s = |q_s - c_s|^2 is formed from the query and centroid slices,
+//       B (the query table, built once per query by the host and pushed
+//       with the query) is read from the host-mirrored batch region and C
+//       (the cluster table, written at load) from the replica's MRAM image;
+//       both stream through per-tasklet WRAM staging buffers. kNaiveRaw
+//       keeps the paper's S0: each tasklet streams its int8 codebook range
+//       and builds |r_s - y_sj|^2 directly.
 //   S1  LUT scale reduction (tasklet 0)                     [barrier]
 //   S2  LUT quantization to u16, compacted in place         [Barrier 2 prep]
 //   S3  co-occurrence partial sums into the WRAM cache      [Barrier 2]
@@ -16,14 +23,15 @@
 //   S5  pruned merge of thread-local heaps into the DPU
 //       top-k heap + result write to MRAM                   [Barrier 0]
 //
-// WRAM reuse (paper 4.2.2): the codebook region is the *last* fixed
-// allocation; before S4 the kernel rewinds the WRAM allocator to the
-// codebook mark and reuses that space for the per-tasklet MRAM read buffers.
-// The allocator throws if a configuration would not fit real WRAM.
+// WRAM reuse (paper 4.2.2): the S0 staging region (the codebook in
+// kNaiveRaw, the B/C staging buffers otherwise; m*256*dsub bytes either way)
+// is the *last* fixed allocation; before S4 the kernel rewinds the WRAM
+// allocator to its mark and reuses that space for the per-tasklet MRAM read
+// buffers. The allocator throws if a configuration would not fit real WRAM.
 //
 // The kernel runs in three modes:
 //   kNaiveRaw     - PIM-naive: raw u8 PQ codes, per-element address
-//                   arithmetic, unpruned top-k merge.
+//                   arithmetic, unpruned top-k merge, codebook S0.
 //   kDirectTokens - UpANNS without CAE: u16 direct-address tokens.
 //   kCae          - full UpANNS: CAE token streams + partial-sum cache.
 #pragma once
@@ -70,6 +78,8 @@ struct DpuClusterData {
   std::uint32_t n_combos = 0;
   std::size_t combos_cap = 0;     ///< bytes reserved at combos_off
   std::size_t centroid_off = 0;   ///< float x dim
+  std::size_t table_off = 0;      ///< cluster table C, float x m x 256
+                                  ///< (UpANNS modes; unused in kNaiveRaw)
 };
 
 /// Static per-DPU layout shared by all launches.
@@ -77,15 +87,53 @@ struct DpuStaticLayout {
   std::size_t dim = 0;
   std::size_t m = 0;
   std::size_t dsub = 0;
-  std::size_t codebook_off = 0;   ///< int8, m x 256 x dsub
-  std::size_t cb_scale_off = 0;   ///< float x m (dequantization scales)
+  std::size_t codebook_off = 0;   ///< int8, m x 256 x dsub (kNaiveRaw only)
+  std::size_t cb_scale_off = 0;   ///< float x m, dequant scales (kNaiveRaw)
   std::vector<DpuClusterData> clusters;  ///< resident replicas (slot order)
 };
 
-/// Per-launch inputs, already pushed to MRAM by the host.
+/// The dequantized int8 PQ codebook y_sj = scale_s * int8_sj that the
+/// precomputed S0 decomposes against (DESIGN.md §6) — the exact floats the
+/// kNaiveRaw S0 forms per dimension. Stored transposed as [s][d][j] so the
+/// table builders run 256 independent chains per subspace; every entry
+/// keeps a fixed per-dimension operation order, so tables are identical
+/// whatever the host's vector width.
+class LutCodebook {
+ public:
+  LutCodebook() = default;
+  /// `codes` is m x 256 x dsub int8, `scales` m floats.
+  LutCodebook(const std::int8_t* codes, const float* scales, std::size_t m,
+              std::size_t dsub);
+
+  /// Entries of one table: m * 256.
+  std::size_t table_size() const { return m_ * 256; }
+
+  /// Query table: out[s*256 + j] = -2 <q_s, y_sj>.
+  void query_table(const float* query, float* out) const;
+  /// Cluster table: out[s*256 + j] = |y_sj|^2 + 2 <c_s, y_sj>.
+  void cluster_table(const float* centroid, float* out) const;
+
+ private:
+  std::size_t m_ = 0;
+  std::size_t dsub_ = 0;
+  std::vector<float> yt_;  ///< m x dsub x 256
+};
+
+/// Floats of one pushed query row: the query vector, then (UpANNS modes)
+/// its query table (LutCodebook::query_table).
+inline std::size_t query_row_floats(const DpuStaticLayout& layout,
+                                    KernelMode mode) {
+  return layout.dim + (mode == KernelMode::kNaiveRaw ? 0 : layout.m * 256);
+}
+
+/// Per-launch inputs, already pushed to the DPU by the host. Local query i's
+/// row (query_row_floats) is row i of the DPU's host-mirrored batch region:
+/// every DPU a query is pushed to holds an identical copy, so the simulator
+/// keeps one per batch row on the host (Dpu::mram_mirror).
 struct DpuLaunchInput {
-  std::size_t queries_off = 0;    ///< float x dim per unique query
-  std::uint32_t n_queries = 0;    ///< unique queries on this DPU
+  /// Local query id -> batch row, in first-assignment order (the one query
+  /// map: the push, the mirror and the gather all read it).
+  std::vector<std::uint32_t> query_rows;
   std::size_t results_off = 0;    ///< k x (u32 dist, u32 id) per query
   std::size_t k = 10;
   std::size_t mram_read_bytes = 0;///< DMA granularity for the stream (fig 17)
@@ -130,7 +178,7 @@ struct KernelScratch {
   /// functional twin of the DPU's direct-address tokens (no branch on real
   /// hardware either).
   std::vector<std::uint32_t> token_table;
-  std::vector<float> residual;
+  std::vector<float> residual;          ///< kNaiveRaw S0
   std::vector<common::Neighbor> sorted;  ///< per-tasklet sorted extract (S5)
   std::vector<common::Neighbor> result;  ///< DPU-global sorted top-k (S5)
   std::vector<std::uint32_t> packed;     ///< MRAM result image (S5)
@@ -184,6 +232,7 @@ class QueryKernel final : public pim::DpuKernel {
   };
 
   void phase_lut_build(const Phase& p, pim::TaskletCtx& ctx);
+  void phase_lut_build_codebook(const Phase& p, pim::TaskletCtx& ctx);
   void phase_lut_reduce(pim::TaskletCtx& ctx);
   void phase_lut_quantize(pim::TaskletCtx& ctx);
   void phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx);
@@ -208,7 +257,9 @@ class QueryKernel final : public pim::DpuKernel {
   std::size_t wram_combo_off = 0;
   std::size_t wram_query_off = 0;     ///< residual, float x dim
   std::size_t wram_codebook_mark = 0; ///< rewind point for stage reuse
-  std::size_t wram_codebook_off = 0;
+  std::size_t wram_codebook_off = 0;  ///< codebook / B-C staging region
+  std::size_t stage_entries_ = 0;     ///< floats per B or C staging buffer
+  std::size_t query_row_bytes_ = 0;   ///< one mirrored query row
   std::size_t per_tasklet_buf_bytes_ = 0;
 
   // Functional state mirroring WRAM contents lives in the scratch arena;

@@ -2,8 +2,9 @@
 //
 // Offline (build, engine_build.cpp): collect cluster stats from a query
 // history, encode every cluster (Opt3), place replicas across DPUs (Opt1),
-// and load MRAM images (codebooks, centroids, id arrays, token streams,
-// combo tables).
+// and load MRAM images (centroids, cluster tables, id arrays, token streams,
+// combo tables; the PIM-naive baseline loads the codebook instead of
+// cluster tables).
 //
 // Online (search, pipeline.cpp): the query path is a sequence of named stage
 // objects — cluster filter, Alg-2 scheduling, uniform-size transfer, kernel
@@ -83,6 +84,14 @@ struct UpAnnsOptions {
     return o;
   }
 };
+
+/// The kernel mode an option set selects (PIM-naive raw codes, UpANNS
+/// without CAE, or full UpANNS).
+inline KernelMode kernel_mode_of(const UpAnnsOptions& o) {
+  return o.naive_raw_codes
+             ? KernelMode::kNaiveRaw
+             : (o.opt_cae ? KernelMode::kCae : KernelMode::kDirectTokens);
+}
 
 class UpAnnsEngine {
  public:
@@ -244,6 +253,17 @@ class UpAnnsEngine {
   /// compaction, cheap direct-token append after pure inserts.
   void refresh_encoding(std::size_t c);
   void build_cluster_image(std::uint32_t c, ClusterImage& out) const;
+  /// Write one replica of cluster c into `dpu` — list regions with the
+  /// mram_list_slack policy, the centroid and, in UpANNS modes, the cluster
+  /// table — and return its descriptor. Regions come from mram_alloc_reuse,
+  /// so a full load on a fresh DPU lays images out exactly like the bump
+  /// allocator and an adapt add fills released space first. `bytes`
+  /// accumulates what was pushed; `img` and `table` are caller scratch.
+  DpuClusterData load_replica(pim::Dpu& dpu, std::uint32_t c,
+                              ClusterImage& img, std::vector<float>& table,
+                              std::uint64_t& bytes) const;
+  /// Return a replica's regions to `dpu`'s MRAM free list.
+  void release_replica(pim::Dpu& dpu, const DpuClusterData& cd) const;
   std::size_t slack_bytes(std::size_t bytes) const;
   void snapshot_loaded_state();
   void set_placement_frequencies(const std::vector<double>& frequencies);
@@ -258,9 +278,12 @@ class UpAnnsEngine {
   std::unique_ptr<pim::PimSystem> system_;
   std::vector<PerDpu> per_dpu_;
 
-  // Shared (all-DPU) quantized codebook image.
+  // Shared quantized codebook: the kNaiveRaw MRAM image (int8 + scales) and
+  // its dequantized form, from which the host builds the precomputed query
+  // and cluster tables of the UpANNS modes.
   std::vector<std::int8_t> codebook_q_;
   std::vector<float> codebook_scales_;
+  LutCodebook lut_codebook_;
 
   // Cluster encodings, shared across replicas.
   std::vector<CaeClusterEncoding> encodings_;

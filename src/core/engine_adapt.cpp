@@ -44,7 +44,6 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
   std::vector<std::vector<CopyDelta>> per_dpu_deltas(options_.n_dpus);
   for (const CopyDelta& d : deltas) per_dpu_deltas[d.dpu].push_back(d);
 
-  const std::size_t dim = index_.dim();
   std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
   std::vector<std::size_t> dpu_added(options_.n_dpus, 0);
   std::vector<std::size_t> dpu_retired(options_.n_dpus, 0);
@@ -61,6 +60,7 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
         dpu.mram_rewind(pd.static_mark);
 
         ClusterImage img;
+        std::vector<float> table;
         std::uint64_t bytes = 0;
         for (const CopyDelta& op : ops) {
           if (!op.add) {
@@ -70,19 +70,8 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
             // batches is safe).
             const std::int32_t slot = pd.cluster_slot[op.cluster];
             assert(slot >= 0);
-            DpuClusterData& cd =
-                pd.layout.clusters[static_cast<std::size_t>(slot)];
-            if (cd.ids_cap > 0) dpu.mram_release(cd.ids_off, cd.ids_cap);
-            if (cd.stream_cap > 0) {
-              dpu.mram_release(cd.stream_off, cd.stream_cap);
-            }
-            if (cd.chunk_cap > 0) {
-              dpu.mram_release(cd.chunk_index_off, cd.chunk_cap);
-            }
-            if (cd.combos_cap > 0) {
-              dpu.mram_release(cd.combos_off, cd.combos_cap);
-            }
-            dpu.mram_release(cd.centroid_off, dim * sizeof(float));
+            release_replica(dpu,
+                            pd.layout.clusters[static_cast<std::size_t>(slot)]);
             const std::size_t last = pd.layout.clusters.size() - 1;
             if (static_cast<std::size_t>(slot) != last) {
               pd.layout.clusters[static_cast<std::size_t>(slot)] =
@@ -96,64 +85,13 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
             continue;
           }
 
-          // Add: build the replica image and load it into reused regions,
-          // with the same slack policy as a full load so later streaming
-          // inserts patch it in place.
-          build_cluster_image(op.cluster, img);
-          DpuClusterData cd;
-          cd.cluster_id = op.cluster;
-          cd.n_records = img.n_records;
-          cd.n_tombstones = img.n_tombstones;
-
-          const std::size_t ids_bytes = img.ids.size() * sizeof(std::uint32_t);
-          cd.ids_cap = slack_bytes(ids_bytes);
-          cd.ids_off = dpu.mram_alloc_reuse(cd.ids_cap, "ids");
-          if (ids_bytes > 0) {
-            dpu.host_write(cd.ids_off, img.ids.data(), ids_bytes);
-          }
-          bytes += ids_bytes;
-
-          cd.stream_cap = slack_bytes(img.stream.size());
-          cd.stream_off = dpu.mram_alloc_reuse(
-              cd.stream_cap,
-              mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
-          if (!img.stream.empty()) {
-            dpu.host_write(cd.stream_off, img.stream.data(),
-                           img.stream.size());
-          }
-          cd.stream_len = img.stream_elems;
-          bytes += img.stream.size();
-
-          const std::size_t chunk_bytes =
-              img.chunk_index.size() * sizeof(std::uint32_t);
-          cd.n_chunks = static_cast<std::uint32_t>(img.chunk_index.size());
-          if (chunk_bytes > 0) {
-            cd.chunk_cap = slack_bytes(chunk_bytes);
-            cd.chunk_index_off = dpu.mram_alloc_reuse(cd.chunk_cap,
-                                                      "chunk-index");
-            dpu.host_write(cd.chunk_index_off, img.chunk_index.data(),
-                           chunk_bytes);
-            bytes += chunk_bytes;
-          }
-
-          cd.n_combos = static_cast<std::uint32_t>(img.combos.size() / 4);
-          if (!img.combos.empty()) {
-            cd.combos_cap = slack_bytes(img.combos.size());
-            cd.combos_off = dpu.mram_alloc_reuse(cd.combos_cap, "combos");
-            dpu.host_write(cd.combos_off, img.combos.data(),
-                           img.combos.size());
-            bytes += img.combos.size();
-          }
-
-          cd.centroid_off = dpu.mram_alloc_reuse(dim * sizeof(float),
-                                                 "centroid");
-          dpu.host_write(cd.centroid_off, index_.centroid(op.cluster),
-                         dim * sizeof(float));
-          bytes += dim * sizeof(float);
-
+          // Add: load the replica image into reused regions, with the same
+          // slack policy as a full load so later streaming inserts patch it
+          // in place.
           pd.cluster_slot[op.cluster] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(cd);
+          pd.layout.clusters.push_back(
+              load_replica(dpu, op.cluster, img, table, bytes));
           ++dpu_added[d];
         }
         pd.static_mark = dpu.mram_mark();

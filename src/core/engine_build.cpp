@@ -28,10 +28,7 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
   if (options_.n_dpus == 0) throw std::invalid_argument("n_dpus == 0");
   options_.placement.n_dpus = options_.n_dpus;
 
-  mode_ = options_.naive_raw_codes
-              ? KernelMode::kNaiveRaw
-              : (options_.opt_cae ? KernelMode::kCae
-                                  : KernelMode::kDirectTokens);
+  mode_ = kernel_mode_of(options_);
 
   // --- Quantize the PQ codebooks to int8 (the WRAM-resident form; paper
   // Sec 4.2.1 budgets D x 256 bytes). One scale per subspace.
@@ -56,6 +53,8 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
           r < 0.f ? -common::round_nonneg(-r) : common::round_nonneg(r));
     }
   }
+  lut_codebook_ = LutCodebook(codebook_q_.data(), codebook_scales_.data(), m,
+                              dsub);
 
   // --- Encode every cluster once (replicas share the encoding).
   encodings_.resize(index_.n_clusters());
@@ -253,14 +252,87 @@ void UpAnnsEngine::snapshot_loaded_state() {
   loaded_epoch_ = index_.mutation_epoch();
 }
 
+DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
+                                          ClusterImage& img,
+                                          std::vector<float>& table,
+                                          std::uint64_t& bytes) const {
+  // List regions are over-allocated by mram_list_slack so streaming inserts
+  // patch in place. The slack is pure address-space: DMA costs are charged
+  // per byte moved, never per offset, so read-only results are unchanged.
+  build_cluster_image(c, img);
+  DpuClusterData cd;
+  cd.cluster_id = c;
+  cd.n_records = img.n_records;
+  cd.n_tombstones = img.n_tombstones;
+
+  const std::size_t ids_bytes = img.ids.size() * sizeof(std::uint32_t);
+  cd.ids_cap = slack_bytes(ids_bytes);
+  cd.ids_off = dpu.mram_alloc_reuse(cd.ids_cap, "ids");
+  if (ids_bytes > 0) dpu.host_write(cd.ids_off, img.ids.data(), ids_bytes);
+  bytes += ids_bytes;
+
+  cd.stream_cap = slack_bytes(img.stream.size());
+  cd.stream_off = dpu.mram_alloc_reuse(
+      cd.stream_cap, mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
+  if (!img.stream.empty()) {
+    dpu.host_write(cd.stream_off, img.stream.data(), img.stream.size());
+  }
+  cd.stream_len = img.stream_elems;
+  bytes += img.stream.size();
+
+  const std::size_t chunk_bytes =
+      img.chunk_index.size() * sizeof(std::uint32_t);
+  cd.n_chunks = static_cast<std::uint32_t>(img.chunk_index.size());
+  if (chunk_bytes > 0) {
+    cd.chunk_cap = slack_bytes(chunk_bytes);
+    cd.chunk_index_off = dpu.mram_alloc_reuse(cd.chunk_cap, "chunk-index");
+    dpu.host_write(cd.chunk_index_off, img.chunk_index.data(), chunk_bytes);
+    bytes += chunk_bytes;
+  }
+
+  cd.n_combos = static_cast<std::uint32_t>(img.combos.size() / 4);
+  if (!img.combos.empty()) {
+    cd.combos_cap = slack_bytes(img.combos.size());
+    cd.combos_off = dpu.mram_alloc_reuse(cd.combos_cap, "combos");
+    dpu.host_write(cd.combos_off, img.combos.data(), img.combos.size());
+    bytes += img.combos.size();
+  }
+
+  const std::size_t centroid_bytes = index_.dim() * sizeof(float);
+  cd.centroid_off = dpu.mram_alloc_reuse(centroid_bytes, "centroid");
+  dpu.host_write(cd.centroid_off, index_.centroid(c), centroid_bytes);
+  bytes += centroid_bytes;
+
+  // The cluster table depends only on the frozen centroid and codebook, so
+  // every replica of c — loaded, adapted or relocated — is byte-identical
+  // and mutation patches never touch it.
+  if (mode_ != KernelMode::kNaiveRaw) {
+    table.resize(lut_codebook_.table_size());
+    lut_codebook_.cluster_table(index_.centroid(c), table.data());
+    const std::size_t table_bytes = table.size() * sizeof(float);
+    cd.table_off = dpu.mram_alloc_reuse(table_bytes, "cluster-table");
+    dpu.host_write(cd.table_off, table.data(), table_bytes);
+    bytes += table_bytes;
+  }
+  return cd;
+}
+
+void UpAnnsEngine::release_replica(pim::Dpu& dpu,
+                                   const DpuClusterData& cd) const {
+  if (cd.ids_cap > 0) dpu.mram_release(cd.ids_off, cd.ids_cap);
+  if (cd.stream_cap > 0) dpu.mram_release(cd.stream_off, cd.stream_cap);
+  if (cd.chunk_cap > 0) dpu.mram_release(cd.chunk_index_off, cd.chunk_cap);
+  if (cd.combos_cap > 0) dpu.mram_release(cd.combos_off, cd.combos_cap);
+  dpu.mram_release(cd.centroid_off, index_.dim() * sizeof(float));
+  if (mode_ != KernelMode::kNaiveRaw) {
+    dpu.mram_release(cd.table_off, lut_codebook_.table_size() * sizeof(float));
+  }
+}
+
 std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
   system_ = std::make_unique<pim::PimSystem>(options_.n_dpus);
   system_->set_metrics(metrics_);  // relocate() rebuilds the system
   per_dpu_.assign(options_.n_dpus, PerDpu{});
-
-  const std::size_t m = index_.pq_m();
-  const std::size_t dsub = index_.pq().dsub();
-  const std::size_t dim = index_.dim();
 
   std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
   common::ThreadPool::global().parallel_for(
@@ -270,77 +342,33 @@ std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
         PerDpu& pd = per_dpu_[d];
         std::uint64_t bytes = 0;
         pd.cluster_slot.assign(index_.n_clusters(), -1);
-        pd.layout.dim = dim;
-        pd.layout.m = m;
-        pd.layout.dsub = dsub;
+        pd.layout.dim = index_.dim();
+        pd.layout.m = index_.pq_m();
+        pd.layout.dsub = index_.pq().dsub();
 
-        pd.layout.codebook_off =
-            dpu.mram_alloc(codebook_q_.size(), "codebook");
-        dpu.host_write(pd.layout.codebook_off, codebook_q_.data(),
-                       codebook_q_.size());
-        bytes += codebook_q_.size();
-        pd.layout.cb_scale_off =
-            dpu.mram_alloc(codebook_scales_.size() * sizeof(float), "cb-scales");
-        dpu.host_write(pd.layout.cb_scale_off, codebook_scales_.data(),
-                       codebook_scales_.size() * sizeof(float));
-        bytes += codebook_scales_.size() * sizeof(float);
+        // Only the PIM-naive kernel builds LUTs from the codebook; UpANNS
+        // images carry per-replica cluster tables instead.
+        if (mode_ == KernelMode::kNaiveRaw) {
+          pd.layout.codebook_off =
+              dpu.mram_alloc(codebook_q_.size(), "codebook");
+          dpu.host_write(pd.layout.codebook_off, codebook_q_.data(),
+                         codebook_q_.size());
+          bytes += codebook_q_.size();
+          const std::size_t scale_bytes =
+              codebook_scales_.size() * sizeof(float);
+          pd.layout.cb_scale_off = dpu.mram_alloc(scale_bytes, "cb-scales");
+          dpu.host_write(pd.layout.cb_scale_off, codebook_scales_.data(),
+                         scale_bytes);
+          bytes += scale_bytes;
+        }
 
-        // List regions are over-allocated by mram_list_slack so streaming
-        // inserts patch in place. The slack is pure address-space: DMA costs
-        // are charged per byte moved, never per offset, so read-only results
-        // are unchanged by it.
         ClusterImage img;
+        std::vector<float> table;
         for (std::uint32_t c : placement_.dpu_clusters[d]) {
-          build_cluster_image(c, img);
-          DpuClusterData cd;
-          cd.cluster_id = c;
-          cd.n_records = img.n_records;
-          cd.n_tombstones = img.n_tombstones;
-
-          const std::size_t ids_bytes = img.ids.size() * sizeof(std::uint32_t);
-          cd.ids_cap = slack_bytes(ids_bytes);
-          cd.ids_off = dpu.mram_alloc(cd.ids_cap, "ids");
-          if (ids_bytes > 0) {
-            dpu.host_write(cd.ids_off, img.ids.data(), ids_bytes);
-          }
-          bytes += ids_bytes;
-
-          cd.stream_cap = slack_bytes(img.stream.size());
-          cd.stream_off = dpu.mram_alloc(
-              cd.stream_cap, mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
-          if (!img.stream.empty()) {
-            dpu.host_write(cd.stream_off, img.stream.data(), img.stream.size());
-          }
-          cd.stream_len = img.stream_elems;
-          bytes += img.stream.size();
-
-          const std::size_t chunk_bytes =
-              img.chunk_index.size() * sizeof(std::uint32_t);
-          cd.n_chunks = static_cast<std::uint32_t>(img.chunk_index.size());
-          if (chunk_bytes > 0) {
-            cd.chunk_cap = slack_bytes(chunk_bytes);
-            cd.chunk_index_off = dpu.mram_alloc(cd.chunk_cap, "chunk-index");
-            dpu.host_write(cd.chunk_index_off, img.chunk_index.data(),
-                           chunk_bytes);
-            bytes += chunk_bytes;
-          }
-
-          cd.n_combos = static_cast<std::uint32_t>(img.combos.size() / 4);
-          if (!img.combos.empty()) {
-            cd.combos_cap = slack_bytes(img.combos.size());
-            cd.combos_off = dpu.mram_alloc(cd.combos_cap, "combos");
-            dpu.host_write(cd.combos_off, img.combos.data(), img.combos.size());
-            bytes += img.combos.size();
-          }
-
-          cd.centroid_off = dpu.mram_alloc(dim * sizeof(float), "centroid");
-          dpu.host_write(cd.centroid_off, index_.centroid(c),
-                         dim * sizeof(float));
-          bytes += dim * sizeof(float);
-
           pd.cluster_slot[c] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(cd);
+          pd.layout.clusters.push_back(
+              load_replica(dpu, c, img, table, bytes));
         }
         pd.static_mark = dpu.mram_mark();
         dpu_bytes[d] = static_cast<std::size_t>(bytes);

@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "baselines/cpu_cost_model.hpp"
 #include "common/hw_specs.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
@@ -152,25 +151,6 @@ UpAnnsEngine& MultiHostUpAnns::host_engine(std::size_t h) {
   return *engines_[h];
 }
 
-namespace {
-
-/// The coordinator's one cluster-filtering pass, charged on the same CPU
-/// roofline ClusterFilterStage uses — every per-host engine report books an
-/// identical value, which the aggregation below subtracts so the pass is
-/// accounted exactly once.
-double coord_filter_seconds_of(const ivf::IvfIndex& index, std::size_t nq,
-                               std::size_t k) {
-  baselines::QueryWorkProfile p;
-  p.n_queries = nq;
-  p.n_clusters = index.n_clusters();
-  p.dim = index.dim();
-  p.m = index.pq_m();
-  p.k = k;
-  return baselines::CpuCostModel::stage_times(p).cluster_filter;
-}
-
-}  // namespace
-
 MultiHostReport MultiHostUpAnns::search(const data::Dataset& queries) {
   const auto probes =
       ivf::filter_batch(index_, queries, options_.per_host.nprobe);
@@ -187,15 +167,25 @@ MultiHostReport MultiHostUpAnns::search_with_probes(
   const std::size_t nq = queries.n;
   const std::size_t k = options_.per_host.k;
 
-  // One cluster-filtering pass on the coordinator, shared with every host.
+  // One cluster-filtering pass on the coordinator, shared with every host,
+  // charged like ClusterFilterStage (each per-host report books an identical
+  // value, which the aggregation below subtracts so the pass is accounted
+  // exactly once). In UpANNS modes it includes the per-query tables.
+  const KernelMode mode = kernel_mode_of(options_.per_host);
   report.coord_filter_seconds =
-      coord_filter_seconds_of(index_, nq, options_.per_host.k);
+      cluster_filter_seconds(index_, nq, options_.per_host.k, mode);
 
-  // Broadcast the batch: the coordinator NIC sends every query vector to
-  // each active host, so the wire time scales with the fan-out (hosts that
-  // own no clusters are skipped — there is nothing for them to scan).
+  // Broadcast the batch: the coordinator NIC sends every query vector (and
+  // its precomputed query table) to each active host, so the wire time
+  // scales with the fan-out (hosts that own no clusters are skipped — there
+  // is nothing for them to scan).
+  const double table_bytes =
+      mode == KernelMode::kNaiveRaw
+          ? 0.0
+          : static_cast<double>(index_.pq_m()) * 256.0 * 4.0;
   const double per_host_query_bytes =
-      static_cast<double>(nq) * static_cast<double>(queries.dim) * 4.0;
+      static_cast<double>(nq) *
+      (static_cast<double>(queries.dim) * 4.0 + table_bytes);
   const double bcast_bytes =
       static_cast<double>(n_active_) * per_host_query_bytes;
   report.broadcast_seconds =

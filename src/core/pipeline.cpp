@@ -19,7 +19,25 @@
 
 namespace upanns::core {
 
-// --- Host stage (a): cluster filtering, charged on the CPU roofline.
+double cluster_filter_seconds(const ivf::IvfIndex& index, std::size_t nq,
+                              std::size_t k, KernelMode mode) {
+  baselines::QueryWorkProfile p;
+  p.n_queries = nq;
+  p.n_clusters = index.n_clusters();
+  p.dim = index.dim();
+  p.m = index.pq_m();
+  p.k = k;
+  double seconds = baselines::CpuCostModel::stage_times(p).cluster_filter;
+  if (mode != KernelMode::kNaiveRaw) {
+    seconds += baselines::CpuCostModel::query_table_seconds(p);
+  }
+  return seconds;
+}
+
+// --- Host stage (a): cluster filtering, plus the precomputed query table
+// B_sj = -2<q_s, y_sj> of every query in UpANNS modes (DESIGN.md §6),
+// charged on the CPU roofline. Rows are independent, so the parallel build
+// is deterministic.
 double ClusterFilterStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const data::Dataset& queries = *ctx.queries;
   if (ctx.probes == nullptr) {
@@ -27,13 +45,21 @@ double ClusterFilterStage::run(QueryPipeline& pl, BatchContext& ctx) {
         ivf::filter_batch(pl.index(), queries, pl.options().nprobe);
     ctx.probes = &ctx.owned_probes;
   }
-  baselines::QueryWorkProfile p;
-  p.n_queries = queries.n;
-  p.n_clusters = pl.index().n_clusters();
-  p.dim = pl.index().dim();
-  p.m = pl.index().pq_m();
-  p.k = pl.options().k;
-  const double seconds = baselines::CpuCostModel::stage_times(p).cluster_filter;
+  if (pl.mode() != KernelMode::kNaiveRaw) {
+    const std::size_t dim = queries.dim;
+    const std::size_t row = dim + pl.lut_codebook().table_size();
+    ctx.query_payloads.resize(queries.n * row);
+    common::ThreadPool::global().parallel_for(
+        0, queries.n,
+        [&](std::size_t q) {
+          float* out = ctx.query_payloads.data() + q * row;
+          std::copy(queries.row(q), queries.row(q) + dim, out);
+          pl.lut_codebook().query_table(queries.row(q), out + dim);
+        },
+        8);
+  }
+  const double seconds = cluster_filter_seconds(
+      pl.index(), queries.n, pl.options().k, pl.mode());
   ctx.report.times.cluster_filter += seconds;
   return seconds;
 }
@@ -51,15 +77,21 @@ double ScheduleStage::run(QueryPipeline& pl, BatchContext& ctx) {
   return seconds;
 }
 
-// --- Per-DPU launch inputs (unique query tables + assignment lists), then
-// the push transfer: UpANNS pads per-DPU buffers to a uniform size so the
-// transfer runs concurrently (Sec 2.2); PIM-naive pays the serialized path.
+// --- Per-DPU launch inputs (the local query map, one pushed row per
+// unique query and the assignment lists), then the push transfer: UpANNS
+// pads per-DPU buffers to a uniform size so the transfer runs concurrently
+// (Sec 2.2); PIM-naive pays the serialized path.
 double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const data::Dataset& queries = *ctx.queries;
   const std::size_t nq = queries.n;
-  const std::size_t dim = pl.index().dim();
   const std::size_t k = pl.options().k;
   const std::size_t ndpu = pl.options().n_dpus;
+  // Every DPU's layout has the same shape; the row format follows the mode.
+  const std::size_t row_bytes =
+      query_row_floats(pl.per_dpu(0).layout, pl.mode()) * sizeof(float);
+  const float* payloads = pl.mode() == KernelMode::kNaiveRaw
+                              ? queries.values.data()
+                              : ctx.query_payloads.data();
 
   ctx.inputs.assign(ndpu, DpuLaunchInput{});
   ctx.push_bytes.assign(ndpu, 0);
@@ -81,32 +113,28 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
         in.mram_read_bytes = read_bytes_cfg;
 
         std::vector<std::int32_t> local_of(nq, -1);
-        std::vector<std::uint32_t> uniq;
+        std::vector<std::uint32_t>& rows = in.query_rows;
         for (const Assignment& a : assigns) {
           if (local_of[a.query] < 0) {
-            local_of[a.query] = static_cast<std::int32_t>(uniq.size());
-            uniq.push_back(a.query);
+            local_of[a.query] = static_cast<std::int32_t>(rows.size());
+            rows.push_back(a.query);
           }
           in.items.push_back(
               {static_cast<std::uint32_t>(local_of[a.query]),
                static_cast<std::uint32_t>(
                    pl.per_dpu(d).cluster_slot[a.cluster])});
         }
-        in.n_queries = static_cast<std::uint32_t>(uniq.size());
 
-        // Scratch MRAM: query table + result slots (rewound every batch).
+        // Batch scratch (rewound every batch): the query rows, charged per
+        // DPU as pushed but mirrored from the one host copy (DESIGN.md §9),
+        // and the result slots.
         pim::Dpu& dpu = pl.system().dpu(d);
         dpu.mram_rewind(pl.per_dpu(d).static_mark);
-        in.queries_off =
-            dpu.mram_alloc(uniq.size() * dim * sizeof(float), "batch-queries");
-        for (std::size_t i = 0; i < uniq.size(); ++i) {
-          dpu.host_write(in.queries_off + i * dim * sizeof(float),
-                         queries.row(uniq[i]), dim * sizeof(float));
-        }
-        in.results_off = dpu.mram_alloc(uniq.size() * k * 8, "batch-results");
+        dpu.mram_mirror(payloads, rows.data(), rows.size(), row_bytes,
+                        "batch-queries");
+        in.results_off = dpu.mram_alloc(rows.size() * k * 8, "batch-results");
 
-        ctx.push_bytes[d] =
-            uniq.size() * dim * sizeof(float) + in.items.size() * 4;
+        ctx.push_bytes[d] = rows.size() * row_bytes + in.items.size() * 4;
       },
       1);
 
@@ -187,12 +215,40 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
         pim::DpuCostModel::cycles_to_seconds(stages.topk)};
   }
   double crit_seconds = 0;
-  if (ctx.kernels[ctx.launch.slowest_dpu]) {
-    const auto& crit = px.dpu_stage_seconds[ctx.launch.slowest_dpu];
+  const std::size_t slowest = ctx.launch.slowest_dpu;
+  if (ctx.kernels[slowest]) {
+    const auto& crit = px.dpu_stage_seconds[slowest];
     ctx.report.times.lut_build = crit.lut;
     ctx.report.times.distance_calc = crit.dist;
     ctx.report.times.topk = crit.topk;
     crit_seconds = crit.total();
+  }
+  if (pl.sink().enabled()) {
+    // Critical-DPU attribution: what the bounding DPU held and where its
+    // time went, plus the spread of assignments over the DPUs that hold
+    // data (the population balance_ratio uses).
+    const DpuLaunchInput& in = ctx.inputs[slowest];
+    const auto& crit = px.dpu_stage_seconds[slowest];
+    obs::MetricsSink s = pl.sink();
+    s.set("pim.critical.assignments", static_cast<double>(in.items.size()));
+    s.set("pim.critical.unique_queries",
+          static_cast<double>(in.query_rows.size()));
+    s.set("pim.critical.lut_seconds", crit.lut);
+    s.set("pim.critical.scan_seconds", crit.dist);
+    s.set("pim.critical.topk_seconds", crit.topk);
+    std::size_t max_items = 0, total_items = 0, holders = 0;
+    for (std::size_t d = 0; d < ndpu; ++d) {
+      const std::size_t n = ctx.inputs[d].items.size();
+      if (n == 0 && pl.placement().dpu_clusters[d].empty()) continue;
+      max_items = std::max(max_items, n);
+      total_items += n;
+      ++holders;
+    }
+    s.set("pim.assignment_balance",
+          total_items > 0 ? static_cast<double>(max_items) *
+                                static_cast<double>(holders) /
+                                static_cast<double>(total_items)
+                          : 0.0);
   }
   return crit_seconds + hw::kHostLaunchLatency;
 }
@@ -210,19 +266,9 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
   for (std::size_t d = 0; d < ndpu; ++d) {
     if (!ctx.kernels[d]) continue;
     const DpuLaunchInput& in = ctx.inputs[d];
-    ctx.max_gather = std::max(
-        ctx.max_gather, static_cast<std::size_t>(in.n_queries) * k * 8);
+    ctx.max_gather = std::max(ctx.max_gather, in.query_rows.size() * k * 8);
     std::vector<std::uint32_t> packed(2 * k);
-    // Recover the unique-query order used when building the input.
-    std::vector<std::int32_t> local_of(nq, -1);
-    std::vector<std::uint32_t> uniq;
-    for (const Assignment& a : ctx.sched.per_dpu[d]) {
-      if (local_of[a.query] < 0) {
-        local_of[a.query] = static_cast<std::int32_t>(uniq.size());
-        uniq.push_back(a.query);
-      }
-    }
-    for (std::size_t i = 0; i < uniq.size(); ++i) {
+    for (std::size_t i = 0; i < in.query_rows.size(); ++i) {
       pl.system().dpu(d).host_read(in.results_off + i * k * 8, packed.data(),
                                    k * 8);
       std::vector<common::Neighbor> list;
@@ -234,7 +280,7 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
         std::memcpy(&dist, &bits, sizeof(dist));
         list.push_back({dist, id});
       }
-      ctx.per_query_lists[uniq[i]].push_back(std::move(list));
+      ctx.per_query_lists[in.query_rows[i]].push_back(std::move(list));
     }
     px.merge_insertions += ctx.kernels[d]->merge_insertions();
     px.merge_pruned += ctx.kernels[d]->merge_pruned();

@@ -2,7 +2,8 @@
 //
 // QueryPipeline runs one batch through six individually timed stages:
 //
-//   cluster-filter  (host)    coarse filtering on the CPU roofline
+//   cluster-filter  (host)    coarse filtering + per-query LUT tables on
+//                             the CPU roofline
 //   alg2-schedule   (host)    Algorithm 2 replica selection / balancing
 //   uniform-push    (device)  launch-input build + uniform-size MRAM push
 //   kernel-launch   (device)  DPU kernels, max-over-DPU critical path
@@ -44,6 +45,12 @@ struct BatchContext {
   const data::Dataset* queries = nullptr;
   const std::vector<std::vector<std::uint32_t>>* probes = nullptr;
   std::vector<std::vector<std::uint32_t>> owned_probes;  ///< when filtering here
+
+  /// Pushed query rows in UpANNS modes, one per batch row: the query vector
+  /// followed by its precomputed query table (query_row_floats), built once
+  /// per query by the filter stage and host-mirrored into every DPU the
+  /// query is pushed to. PIM-naive rows are the query vectors themselves.
+  std::vector<float> query_payloads;
 
   Schedule sched;
   std::vector<DpuLaunchInput> inputs;
@@ -138,6 +145,7 @@ class QueryPipeline {
   const Placement& placement() const { return engine_.placement_; }
   pim::PimSystem& system() { return *engine_.system_; }
   KernelMode mode() const { return engine_.mode_; }
+  const LutCodebook& lut_codebook() const { return engine_.lut_codebook_; }
   UpAnnsEngine::PerDpu& per_dpu(std::size_t d) { return engine_.per_dpu_[d]; }
   /// Empty (inlined no-op) when the engine has no registry attached.
   obs::MetricsSink sink() const { return engine_.metrics_; }
@@ -212,6 +220,13 @@ struct BatchPipelineReport {
   std::size_t n_queries = 0;
   double qps = 0;              ///< n_queries / elapsed_seconds
 };
+
+/// Simulated host seconds of ClusterFilterStage for an nq-query batch:
+/// coarse filtering plus, in UpANNS modes, one precomputed query table per
+/// query, both on the CPU roofline. The multi-host coordinator charges its
+/// one shared pass with the same function.
+double cluster_filter_seconds(const ivf::IvfIndex& index, std::size_t nq,
+                              std::size_t k, KernelMode mode);
 
 /// Sum of the leading StageSide::kHost trace entries of a report — the host
 /// prefix (filter + schedule) that the batch pipelines overlap with the

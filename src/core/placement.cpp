@@ -52,7 +52,8 @@ namespace {
 std::size_t derive_max_dpu_vectors(const ivf::IvfIndex& index,
                                    const PlacementOptions& opts) {
   if (opts.max_dpu_vectors > 0) return opts.max_dpu_vectors;
-  // Leave room for codebooks, centroids and result buffers; budget 90% of
+  // Leave room for per-replica centroids and cluster tables (16 KB at
+  // m = 16), the PIM-naive codebook and the batch scratch; budget 90% of
   // MRAM for inverted lists.
   const std::size_t budget =
       static_cast<std::size_t>(0.9 * static_cast<double>(hw::kMramBytes));

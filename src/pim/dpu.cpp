@@ -9,49 +9,45 @@
 
 namespace upanns::pim {
 
-void TaskletCtx::mram_read(std::size_t mram_off, void* dst, std::size_t bytes) {
-  auto* out = static_cast<std::uint8_t*>(dst);
+void TaskletCtx::charge_dma(std::size_t bytes) {
   std::size_t done = 0;
   while (done < bytes) {
     const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
     work_.dma_cycles += static_cast<std::uint64_t>(
         DpuCostModel::mram_dma_cycles(chunk));
-    dpu_->host_read(mram_off + done, out + done, chunk);
     done += chunk;
   }
+}
+
+void TaskletCtx::mram_read(std::size_t mram_off, void* dst, std::size_t bytes) {
+  charge_dma(bytes);
+  dpu_->host_read(mram_off, dst, bytes);
 }
 
 const std::uint8_t* TaskletCtx::mram_view(std::size_t mram_off,
                                           std::size_t bytes) {
   // Same per-chunk DMA charge as mram_read — a view still stages through
   // WRAM on real hardware; only the simulator's memcpy is elided.
-  assert(mram_off + bytes <= dpu_->mram_used());
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
-    work_.dma_cycles += static_cast<std::uint64_t>(
-        DpuCostModel::mram_dma_cycles(chunk));
-    done += chunk;
-  }
+  assert(mram_off + bytes <= dpu_->mram_mark());
+  charge_dma(bytes);
   return dpu_->mram_data(mram_off);
+}
+
+const std::uint8_t* TaskletCtx::mirror_view(std::size_t off,
+                                            std::size_t bytes) {
+  charge_dma(bytes);
+  return dpu_->mirror_data(off, bytes);
 }
 
 void TaskletCtx::mram_write(std::size_t mram_off, const void* src,
                             std::size_t bytes) {
-  auto* in = static_cast<const std::uint8_t*>(src);
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
-    work_.dma_cycles += static_cast<std::uint64_t>(
-        DpuCostModel::mram_dma_cycles(chunk));
-    dpu_->host_write(mram_off + done, in + done, chunk);
-    done += chunk;
-  }
+  charge_dma(bytes);
+  dpu_->host_write(mram_off, src, bytes);
 }
 
 std::size_t Dpu::mram_alloc(std::size_t bytes, const char* tag) {
   const std::size_t aligned = (bytes + 7) / 8 * 8;
-  if (mram_.size() + aligned > hw::kMramBytes) {
+  if (mram_used() + aligned > hw::kMramBytes) {
     throw std::runtime_error("MRAM overflow on DPU " + std::to_string(id_) +
                              " allocating " + std::to_string(bytes) +
                              " bytes for '" + tag + "'");
@@ -66,6 +62,7 @@ void Dpu::mram_rewind(std::size_t mark) {
     throw std::logic_error("Dpu::mram_rewind past current size");
   }
   mram_.resize(mark);
+  if (mirror_.bytes > 0 && mark <= mirror_.mark) mirror_ = Mirror{};
   // Free regions in the discarded tail no longer exist; truncate any that
   // straddle the mark.
   while (!free_regions_.empty()) {
@@ -125,6 +122,31 @@ std::size_t Dpu::mram_released_bytes() const {
   std::size_t total = 0;
   for (const FreeRegion& r : free_regions_) total += r.bytes;
   return total;
+}
+
+void Dpu::mram_mirror(const void* host, const std::uint32_t* rows,
+                      std::size_t n_rows, std::size_t row_bytes,
+                      const char* tag) {
+  if (mirror_.bytes > 0) {
+    throw std::logic_error("Dpu::mram_mirror: a mirror is already mapped");
+  }
+  const std::size_t aligned = (n_rows * row_bytes + 7) / 8 * 8;
+  if (mram_used() + aligned > hw::kMramBytes) {
+    throw std::runtime_error("MRAM overflow on DPU " + std::to_string(id_) +
+                             " mirroring " + std::to_string(n_rows * row_bytes) +
+                             " bytes for '" + tag + "'");
+  }
+  mirror_ = {static_cast<const std::uint8_t*>(host), rows, n_rows, row_bytes,
+             aligned, mram_.size()};
+}
+
+const std::uint8_t* Dpu::mirror_data(std::size_t off, std::size_t bytes) const {
+  assert(mirror_.bytes > 0);
+  const std::size_t row = off / mirror_.row_bytes;
+  const std::size_t within = off % mirror_.row_bytes;
+  assert(row < mirror_.n_rows && within + bytes <= mirror_.row_bytes);
+  (void)bytes;
+  return mirror_.host + mirror_.rows[row] * mirror_.row_bytes + within;
 }
 
 void Dpu::host_write(std::size_t off, const void* src, std::size_t bytes) {

@@ -71,6 +71,17 @@ class TaskletCtx {
     return reinterpret_cast<const T*>(mram_view(mram_off, bytes));
   }
 
+  /// Borrowed read-only view of the DPU's host-mirrored batch region
+  /// (Dpu::mram_mirror), `off` counted from the region's start. Charges the
+  /// identical DMA chunking as mram_view of the same byte count; the span
+  /// may not cross a mirror row. Same aliasing rules as mram_view.
+  const std::uint8_t* mirror_view(std::size_t off, std::size_t bytes);
+
+  template <typename T>
+  const T* mirror_view_as(std::size_t off, std::size_t bytes) {
+    return reinterpret_cast<const T*>(mirror_view(off, bytes));
+  }
+
   /// DMA local buffer -> MRAM.
   void mram_write(std::size_t mram_off, const void* src, std::size_t bytes);
 
@@ -84,6 +95,9 @@ class TaskletCtx {
   void reset_work() { work_.clear(); }
 
  private:
+  /// Charge one DMA per <= 2048 B chunk of a `bytes` transfer.
+  void charge_dma(std::size_t bytes);
+
   Dpu* dpu_;
   unsigned id_;
   unsigned n_tasklets_;
@@ -128,14 +142,33 @@ class Dpu {
   /// capacity is exceeded — the same constraint that forces billion-scale
   /// datasets across many DPUs.
   std::size_t mram_alloc(std::size_t bytes, const char* tag = "");
-  std::size_t mram_used() const { return mram_.size(); }
-  std::size_t mram_free() const { return hw::kMramBytes - mram_.size(); }
+  /// Capacity in use, the host-mirrored batch region included.
+  std::size_t mram_used() const { return mram_.size() + mirror_.bytes; }
+  std::size_t mram_free() const { return hw::kMramBytes - mram_used(); }
 
   /// Mark/rewind for per-batch scratch regions (query tables, results):
   /// rewinding releases everything allocated after the mark so repeated
-  /// search batches do not leak MRAM.
+  /// search batches do not leak MRAM. A rewind to a mark at or below the
+  /// mirror's also drops the host-mirrored region.
   std::size_t mram_mark() const { return mram_.size(); }
   void mram_rewind(std::size_t mark);
+
+  /// Host-mirrored batch region (DESIGN.md §9): a read-only table the host
+  /// pushes to this DPU as `n_rows` rows of `row_bytes`, row i holding the
+  /// host bytes at `host + rows[i] * row_bytes`. The region takes
+  /// n_rows * row_bytes (8-aligned) of MRAM capacity — counted by mram_used
+  /// and mram_free, and checked like mram_alloc, which throws on overflow and
+  /// leaves the DPU untouched — but the simulator stores the bytes once on
+  /// the host instead of once per DPU. Kernels read it through
+  /// TaskletCtx::mirror_view. `host` and `rows` must stay valid and
+  /// unchanged until the region is rewound; one region at a time.
+  void mram_mirror(const void* host, const std::uint32_t* rows,
+                   std::size_t n_rows, std::size_t row_bytes,
+                   const char* tag = "");
+  std::size_t mirror_bytes() const { return mirror_.bytes; }
+  /// Host address of mirror bytes [off, off + bytes); asserts the span lies
+  /// inside one row.
+  const std::uint8_t* mirror_data(std::size_t off, std::size_t bytes) const;
 
   /// Region reuse for updatable list images: mram_release returns a static
   /// region to a free list, and mram_alloc_reuse prefers a released region
@@ -168,8 +201,18 @@ class Dpu {
     std::size_t bytes;
   };
 
+  struct Mirror {
+    const std::uint8_t* host = nullptr;
+    const std::uint32_t* rows = nullptr;
+    std::size_t n_rows = 0;
+    std::size_t row_bytes = 0;
+    std::size_t bytes = 0;  ///< capacity charged (8-aligned)
+    std::size_t mark = 0;   ///< bump position when mapped
+  };
+
   std::uint32_t id_;
   std::vector<std::uint8_t> mram_;
+  Mirror mirror_;
   std::vector<FreeRegion> free_regions_;  ///< sorted by offset, coalesced
   WramAllocator wram_;
   std::uint64_t busy_cycles_ = 0;

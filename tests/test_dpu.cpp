@@ -47,6 +47,71 @@ TEST(Dpu, MramMarkRewind) {
   EXPECT_THROW(dpu.mram_rewind(mark + 8), std::logic_error);
 }
 
+TEST(Dpu, MirrorCountsCapacityResolvesRowsAndRewindsWithScratch) {
+  Dpu dpu;
+  dpu.mram_alloc(64, "static");
+  const auto mark = dpu.mram_mark();
+  std::vector<float> host(4 * 16);  // four 64-byte host rows
+  std::iota(host.begin(), host.end(), 0.f);
+  const std::uint32_t rows[] = {2, 0};
+  dpu.mram_mirror(host.data(), rows, 2, 16 * sizeof(float), "tables");
+  EXPECT_EQ(dpu.mirror_bytes(), 128u);
+  EXPECT_EQ(dpu.mram_used(), 192u);
+  EXPECT_EQ(dpu.mram_free(), hw::kMramBytes - 192u);
+  EXPECT_EQ(dpu.mram_mark(), 64u);  // nothing is stored per DPU
+  // Mirror row 0 is host row 2, row 1 is host row 0.
+  EXPECT_EQ(dpu.mirror_data(0, 64),
+            reinterpret_cast<const std::uint8_t*>(host.data() + 32));
+  EXPECT_EQ(dpu.mirror_data(64 + 8, 8),
+            reinterpret_cast<const std::uint8_t*>(host.data() + 2));
+  EXPECT_THROW(dpu.mram_mirror(host.data(), rows, 1, 64, "again"),
+               std::logic_error);
+  // Batch scratch allocated after the mirror rewinds together with it.
+  dpu.mram_alloc(32, "results");
+  EXPECT_EQ(dpu.mram_used(), 224u);
+  dpu.mram_rewind(mark);
+  EXPECT_EQ(dpu.mirror_bytes(), 0u);
+  EXPECT_EQ(dpu.mram_used(), 64u);
+  dpu.mram_mirror(host.data(), rows, 1, 64, "next-batch");
+  EXPECT_EQ(dpu.mram_used(), 128u);
+}
+
+TEST(Dpu, MirrorOverflowThrowsAndLeavesDpuUntouched) {
+  Dpu dpu;
+  const auto bulk = dpu.mram_alloc(hw::kMramBytes - 1024, "bulk");
+  const std::uint8_t probe = 0x5a;
+  dpu.host_write(bulk, &probe, 1);
+  std::vector<std::uint8_t> host(2048, 1);
+  const std::uint32_t rows[] = {0, 1};
+  EXPECT_THROW(dpu.mram_mirror(host.data(), rows, 2, 1024, "tables"),
+               std::runtime_error);
+  EXPECT_EQ(dpu.mirror_bytes(), 0u);
+  EXPECT_EQ(dpu.mram_used(), hw::kMramBytes - 1024);
+  EXPECT_EQ(dpu.mram_mark(), hw::kMramBytes - 1024);
+  EXPECT_EQ(*dpu.mram_data(bulk), probe);
+  // A mirror that fits takes the rest, and allocations then overflow.
+  dpu.mram_mirror(host.data(), rows, 1, 1024, "tables");
+  EXPECT_EQ(dpu.mram_free(), 0u);
+  EXPECT_THROW(dpu.mram_alloc(8, "over"), std::runtime_error);
+}
+
+TEST(Dpu, MirrorViewChargesTheMramViewChunking) {
+  Dpu dpu;
+  const auto off = dpu.mram_alloc(4096, "region");
+  std::vector<std::uint8_t> host(2 * 4096);
+  std::iota(host.begin(), host.end(), 0);
+  const std::uint32_t rows[] = {1};
+  dpu.mram_mirror(host.data(), rows, 1, 4096, "tables");
+  for (const std::size_t bytes : {8u, 2048u, 3000u, 4096u}) {
+    TaskletCtx mram(dpu, 0, 1);
+    TaskletCtx mirror(dpu, 0, 1);
+    mram.mram_view(off, bytes);
+    const std::uint8_t* p = mirror.mirror_view(0, bytes);
+    EXPECT_EQ(mirror.work().dma_cycles, mram.work().dma_cycles) << bytes;
+    EXPECT_EQ(p, host.data() + 4096);
+  }
+}
+
 // A trivial two-phase kernel: phase 0 copies MRAM->WRAM per tasklet, phase 1
 // charges fixed instructions.
 class CopyKernel : public DpuKernel {

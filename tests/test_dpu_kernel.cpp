@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/simd_dispatch.hpp"
@@ -189,7 +191,9 @@ TEST(Kernel, MergeStatsConsistent) {
 // ---------------------------------------------------------------------------
 // S0-S2 under the block split, against a hand-built MRAM image: one cluster
 // with no records, so a run is exactly LUT build, reduce, quantize and an
-// empty merge.
+// empty merge. The image carries both S0 inputs: the int8 codebook the
+// kNaiveRaw S0 streams, and the cluster table (MRAM) plus query table
+// (host-mirrored) the precomputed S0 of the UpANNS modes adds up.
 
 std::vector<common::SimdLevel> supported_levels() {
   std::vector<common::SimdLevel> out;
@@ -214,8 +218,11 @@ struct LutImage {
   DpuLaunchInput input;
   std::vector<std::int8_t> codebook;
   std::vector<float> scales, query, centroid;
+  std::vector<float> query_table, cluster_table;
+  std::vector<float> naive_row, table_row;  ///< the pushed query rows
 
-  LutImage(std::size_t m, std::size_t dsub, std::uint64_t seed) {
+  LutImage(std::size_t m, std::size_t dsub, std::uint64_t seed,
+           std::size_t k = 4) {
     common::Rng rng(seed);
     layout.m = m;
     layout.dsub = dsub;
@@ -233,14 +240,38 @@ struct LutImage {
     }
     layout.codebook_off = put(codebook.data(), codebook.size());
     layout.cb_scale_off = put(scales.data(), m * sizeof(float));
+    const LutCodebook cb(codebook.data(), scales.data(), m, dsub);
+    query_table.resize(cb.table_size());
+    cluster_table.resize(cb.table_size());
+    cb.query_table(query.data(), query_table.data());
+    cb.cluster_table(centroid.data(), cluster_table.data());
     DpuClusterData cl;
     cl.centroid_off = put(centroid.data(), layout.dim * sizeof(float));
+    cl.table_off =
+        put(cluster_table.data(), cluster_table.size() * sizeof(float));
     layout.clusters.push_back(cl);
-    input.k = 4;
-    input.n_queries = 1;
-    input.queries_off = put(query.data(), layout.dim * sizeof(float));
+    naive_row = query;
+    table_row = query;
+    table_row.insert(table_row.end(), query_table.begin(), query_table.end());
+    input.k = k;
+    input.query_rows = {0};
     input.results_off = dpu.mram_alloc(input.k * 8, "results");
     input.items.push_back({0, 0});
+  }
+
+  /// Push the query row the kernel in `mode` reads (a real push rewinds the
+  /// batch scratch first, which drops the previous mirror).
+  void push(KernelMode mode) {
+    const std::vector<float>& row =
+        mode == KernelMode::kNaiveRaw ? naive_row : table_row;
+    dpu.mram_rewind(dpu.mram_mark());
+    dpu.mram_mirror(row.data(), input.query_rows.data(), 1,
+                    row.size() * sizeof(float), "batch-queries");
+  }
+
+  void run(QueryKernel& kernel, KernelMode mode, unsigned tasklets) {
+    push(mode);
+    dpu.run(kernel, tasklets);
   }
 
   std::size_t put(const void* src, std::size_t bytes) {
@@ -280,6 +311,8 @@ struct LutImage {
 };
 
 TEST(LutSplit, BitIdenticalToPerSubspaceReference) {
+  // The kNaiveRaw S0 builds every entry from the codebook with the
+  // reference's exact operation order.
   LevelGuard guard;
   for (const std::size_t m : {std::size_t{12}, std::size_t{16}}) {
     // dsub 8 takes the SIMD routines; 6 is the scalar path.
@@ -292,9 +325,9 @@ TEST(LutSplit, BitIdenticalToPerSubspaceReference) {
       for (const auto level : supported_levels()) {
         common::set_simd_level(level);
         for (const unsigned t : {1u, 2u, 3u, 11u, 16u, 24u}) {
-          QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+          QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                              /*prune_topk=*/true);
-          img.dpu.run(kernel, t);
+          img.run(kernel, KernelMode::kNaiveRaw, t);
           const KernelScratch& got = kernel.scratch();
           const std::string where = "m=" + std::to_string(m) +
                                     " dsub=" + std::to_string(dsub) +
@@ -324,8 +357,9 @@ TEST(LutSplit, BuildPhaseWithinOneBlockOfIssueBound) {
   constexpr unsigned kT = 11;
   constexpr std::size_t kM = 16, kDsub = 8;
   LutImage img(kM, kDsub, 7);
-  QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+  QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                      /*prune_topk=*/true);
+  img.push(KernelMode::kNaiveRaw);
   kernel.setup(img.dpu, kT);
   std::vector<pim::TaskletWork> works;
   for (unsigned t = 0; t < kT; ++t) {
@@ -352,9 +386,9 @@ TEST(LutSplit, TaskletWithoutBlockReportsZeroMax) {
   // m = 2 has 64 blocks; at 24 tasklets the ceil split hands out 3 blocks
   // each, so tasklet 21 gets the last one and tasklets 22-23 get none.
   LutImage img(2, 8, 9);
-  QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens,
+  QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                      /*prune_topk=*/true);
-  img.dpu.run(kernel, 24);
+  img.run(kernel, KernelMode::kNaiveRaw, 24);
   const std::vector<float>& mx = kernel.scratch().tasklet_max;
   ASSERT_EQ(mx.size(), 24u);
   EXPECT_GT(mx[21], 0.f);
@@ -365,6 +399,163 @@ TEST(LutSplit, TaskletWithoutBlockReportsZeroMax) {
   float want_scale = 0.f;
   img.reference(want, want_u16, want_scale);
   EXPECT_EQ(kernel.lut_scale(), want_scale);
+}
+
+// --- The precomputed S0 (UpANNS modes): A + B + C against the direct
+// per-subspace reference. The decomposition reassociates the float sum, so
+// the float LUT agrees to a relative tolerance of the LUT's range and the
+// u16 LUT to one quantization step.
+
+constexpr float kLutRelTol = 2e-6f;
+
+void expect_tables_match_reference(const LutImage& img,
+                                   const QueryKernel& kernel,
+                                   const std::string& where) {
+  std::vector<float> want;
+  std::vector<std::uint16_t> want_u16;
+  float want_scale = 0.f;
+  img.reference(want, want_u16, want_scale);
+  const KernelScratch& got = kernel.scratch();
+  ASSERT_EQ(got.lut_f32.size(), want.size()) << where;
+  const float range = want_scale * 65000.f;  // the reference LUT maximum
+  float worst = 0.f;
+  int worst_u16 = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    worst = std::max(worst, std::abs(got.lut_f32[i] - want[i]));
+    worst_u16 = std::max(
+        worst_u16, std::abs(static_cast<int>(got.lut_u16[i]) -
+                            static_cast<int>(want_u16[i])));
+  }
+  EXPECT_LE(worst, kLutRelTol * range) << where;
+  EXPECT_LE(worst_u16, 1) << where;
+  EXPECT_NEAR(kernel.lut_scale(), want_scale, kLutRelTol * want_scale)
+      << where;
+}
+
+TEST(LutTables, MatchDirectReferenceAtEveryShapeLevelAndTaskletCount) {
+  LevelGuard guard;
+  for (const std::size_t m : {std::size_t{12}, std::size_t{16},
+                              std::size_t{20}}) {
+    for (const std::size_t dsub : {std::size_t{8}, std::size_t{6},
+                                   std::size_t{5}}) {
+      LutImage img(m, dsub, 300 + m * 10 + dsub);
+      for (const auto level : supported_levels()) {
+        common::set_simd_level(level);
+        for (const unsigned t : {1u, 2u, 3u, 11u, 16u, 24u}) {
+          for (const KernelMode mode :
+               {KernelMode::kDirectTokens, KernelMode::kCae}) {
+            QueryKernel kernel(img.layout, img.input, mode,
+                               /*prune_topk=*/true);
+            img.run(kernel, mode, t);
+            expect_tables_match_reference(
+                img, kernel,
+                "m=" + std::to_string(m) + " dsub=" + std::to_string(dsub) +
+                    " level=" + common::simd_level_name(level) +
+                    " tasklets=" + std::to_string(t));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LutTables, BitIdenticalAcrossTaskletCounts) {
+  // Every entry is (A_s + B_sj) + C_sj whichever tasklet owns it.
+  LutImage img(16, 8, 41);
+  QueryKernel ref(img.layout, img.input, KernelMode::kDirectTokens, true);
+  img.run(ref, KernelMode::kDirectTokens, 1);
+  for (const unsigned t : {2u, 3u, 11u, 16u, 24u}) {
+    QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens, true);
+    img.run(kernel, KernelMode::kDirectTokens, t);
+    EXPECT_EQ(std::memcmp(kernel.scratch().lut_f32.data(),
+                          ref.scratch().lut_f32.data(),
+                          ref.scratch().lut_f32.size() * sizeof(float)),
+              0)
+        << "tasklets=" << t;
+    EXPECT_EQ(kernel.scratch().lut_u16, ref.scratch().lut_u16);
+  }
+}
+
+/// Per-tasklet work of the first item's S0 at `t` tasklets.
+std::vector<pim::TaskletWork> s0_work(LutImage& img, KernelMode mode,
+                                      unsigned t) {
+  QueryKernel kernel(img.layout, img.input, mode, /*prune_topk=*/true);
+  img.push(mode);
+  kernel.setup(img.dpu, t);
+  std::vector<pim::TaskletWork> works;
+  for (unsigned id = 0; id < t; ++id) {
+    pim::TaskletCtx ctx(img.dpu, id, t);
+    kernel.run_phase(0, ctx);
+    works.push_back(ctx.work());
+  }
+  return works;
+}
+
+TEST(LutTables, BuildPhaseNearIssueBoundAndAThirdOfTheCodebookS0) {
+  // m = 16, T = 11: the precomputed S0 keeps the block split's balance (the
+  // busiest path within one block plus its own DMA wait of the issue bound)
+  // at 8 instead of 27 instructions per entry.
+  constexpr unsigned kT = 11;
+  LutImage img(16, 8, 7);
+  const auto works = s0_work(img, KernelMode::kDirectTokens, kT);
+  std::uint64_t issue = 0, max_dma = 0;
+  for (const auto& w : works) {
+    issue += w.instructions;
+    max_dma = std::max(max_dma, w.dma_cycles);
+  }
+  EXPECT_GE(issue, 16u * 256u * (5 + 3));
+  const std::uint64_t cycles = pim::DpuCostModel::phase_cycles(works);
+  EXPECT_LE(cycles, issue + kT * 8 * (5 + 3) + max_dma);
+  const std::uint64_t codebook = pim::DpuCostModel::phase_cycles(
+      s0_work(img, KernelMode::kNaiveRaw, kT));
+  EXPECT_LT(cycles * 100, codebook * 35);
+}
+
+TEST(LutTables, SumRoundingBelowZeroClampsToZero) {
+  // Make entry (s=1, j=5) cancel exactly in real arithmetic but round below
+  // zero in float: C = -(A + B) one ulp down. The kernel must emit 0, and the
+  // quantized entry must be 0, not a wrapped or garbage u16.
+  LutImage img(4, 8, 17);
+  const std::size_t s = 1, j = 5, e = s * 256 + j;
+  float a = 0.f;
+  for (std::size_t d = 0; d < 8; ++d) {
+    const float diff = img.query[s * 8 + d] - img.centroid[s * 8 + d];
+    a += diff * diff;
+  }
+  const float ab = a + img.query_table[e];
+  img.cluster_table[e] =
+      std::nextafter(-ab, -std::numeric_limits<float>::infinity());
+  ASSERT_LT((a + img.query_table[e]) + img.cluster_table[e], 0.f);
+  img.dpu.host_write(img.layout.clusters[0].table_off + e * sizeof(float),
+                     &img.cluster_table[e], sizeof(float));
+  for (const unsigned t : {1u, 11u}) {
+    QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens, true);
+    img.run(kernel, KernelMode::kDirectTokens, t);
+    EXPECT_EQ(kernel.scratch().lut_f32[e], 0.f) << "tasklets=" << t;
+    EXPECT_FALSE(std::signbit(kernel.scratch().lut_f32[e]));
+    EXPECT_EQ(kernel.scratch().lut_u16[e], 0u);
+    EXPECT_GT(kernel.lut_scale(), 0.f);
+  }
+}
+
+TEST(LutTables, StagingFitsWramAtMaxTaskletsForEveryFamily) {
+  // deep (m=12, dsub=8), sift (16, 8) and spacev (20, 5) at 24 tasklets and
+  // the engine's k=10: the B/C staging buffers reuse the codebook's WRAM
+  // footprint, so the full kernel layout (heaps, combo cache, LUT, staging,
+  // then the distance-stage stream buffers) must fit 64 KB.
+  for (const auto& [m, dsub] :
+       {std::pair<std::size_t, std::size_t>{12, 8}, {16, 8}, {20, 5}}) {
+    LutImage img(m, dsub, 5, /*k=*/10);
+    for (const KernelMode mode :
+         {KernelMode::kDirectTokens, KernelMode::kCae}) {
+      QueryKernel kernel(img.layout, img.input, mode, true);
+      EXPECT_NO_THROW(img.run(kernel, mode, 24))
+          << "m=" << m << " dsub=" << dsub;
+      EXPECT_LE(img.dpu.wram().high_water(), hw::kWramBytes);
+      expect_tables_match_reference(img, kernel,
+                                    "m=" + std::to_string(m) + " T=24");
+    }
+  }
 }
 
 TEST(LutSplit, EngineNeighborsByteIdenticalAcrossTaskletsAndLevels) {

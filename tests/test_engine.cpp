@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "baselines/cpu_ivfpq.hpp"
+#include "core/pipeline.hpp"
 #include "data/ground_truth.hpp"
 
 namespace upanns::core {
@@ -208,6 +211,63 @@ TEST(Engine, RelocateKeepsResults) {
   for (std::size_t q = 0; q < before.neighbors.size(); ++q) {
     EXPECT_EQ(before.neighbors[q], after.neighbors[q]);
   }
+}
+
+/// Cluster table bytes of every resident replica, keyed by cluster; checks
+/// that all replicas of a cluster on this engine are byte-identical.
+std::map<std::uint32_t, std::vector<std::uint8_t>> cluster_tables(
+    UpAnnsEngine& engine) {
+  std::map<std::uint32_t, std::vector<std::uint8_t>> out;
+  QueryPipeline pl(engine);
+  const std::size_t bytes = engine.index().pq_m() * 256 * sizeof(float);
+  for (std::size_t d = 0; d < engine.options().n_dpus; ++d) {
+    for (const DpuClusterData& cd : pl.per_dpu(d).layout.clusters) {
+      const std::uint8_t* p = engine.system().dpu(d).mram_data(cd.table_off);
+      std::vector<std::uint8_t> table(p, p + bytes);
+      const auto [it, fresh] = out.emplace(cd.cluster_id, table);
+      EXPECT_TRUE(fresh || it->second == table) << "cluster " << cd.cluster_id;
+    }
+  }
+  return out;
+}
+
+TEST(Engine, AdaptedAndRelocatedClusterTablesMatchFreshLoad) {
+  auto& f = fixture();
+  UpAnnsEngine fresh(f.index, f.stats, f.small());
+  const auto want = cluster_tables(fresh);
+  ASSERT_FALSE(want.empty());
+
+  // Copy adjustment: retire a replica of a replicated cluster (its regions
+  // return to the free list), then add replicas that load into reused
+  // regions.
+  UpAnnsEngine adapted(f.index, f.stats, f.small());
+  std::uint32_t replicated = 0, single = 0;
+  for (std::uint32_t c = 0; c < f.index.n_clusters(); ++c) {
+    const std::size_t n = adapted.placement().cluster_dpus[c].size();
+    if (n >= 2) replicated = c;
+    if (n == 1 && f.index.list(c).size() > 0) single = c;
+  }
+  ASSERT_GE(adapted.placement().cluster_dpus[replicated].size(), 2u);
+  const auto retired =
+      adapted.apply_copy_adjustments({{replicated, -1}}, f.stats.frequencies);
+  EXPECT_EQ(retired.replicas_retired, 1u);
+  const auto added = adapted.apply_copy_adjustments(
+      {{single, +2}, {replicated, +1}}, f.stats.frequencies);
+  EXPECT_GT(added.replicas_added, 0u);
+  EXPECT_EQ(cluster_tables(adapted), want);
+
+  // Relocation under a different traffic profile reloads every image.
+  UpAnnsEngine relocated(f.index, f.stats, f.small());
+  ivf::ClusterStats flat = f.stats;
+  std::fill(flat.frequencies.begin(), flat.frequencies.end(),
+            1.0 / static_cast<double>(flat.frequencies.size()));
+  for (std::size_t c = 0; c < flat.workloads.size(); ++c) {
+    flat.workloads[c] = static_cast<double>(flat.sizes[c]) * flat.frequencies[c];
+  }
+  relocated.relocate(flat);
+  EXPECT_EQ(cluster_tables(relocated), want);
+  EXPECT_EQ(relocated.search(f.wl.queries).neighbors,
+            fresh.search(f.wl.queries).neighbors);
 }
 
 TEST(Engine, MoreTaskletsNotSlower) {

@@ -10,6 +10,7 @@
 //    pass on top); pinned against a hand-built MRAM image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -192,18 +193,13 @@ struct MiniKernel {
   pim::Dpu dpu{0};
   DpuStaticLayout layout;
   DpuLaunchInput input;
+  /// The pushed query row: the query vector, then its query table.
+  std::vector<float> query_row = std::vector<float>(kDim + kM * 256, 0.f);
 
   MiniKernel() {
     layout.dim = kDim;
     layout.m = kM;
     layout.dsub = kDsub;
-    layout.codebook_off = dpu.mram_alloc(kM * 256 * kDsub, "codebook");
-    layout.cb_scale_off = dpu.mram_alloc(kM * sizeof(float), "scales");
-    const float one = 1.f;
-    for (std::size_t s = 0; s < kM; ++s) {
-      dpu.host_write(layout.cb_scale_off + s * sizeof(float), &one,
-                     sizeof(float));
-    }
 
     DpuClusterData cl;
     cl.n_records = kRecords;
@@ -234,12 +230,14 @@ struct MiniKernel {
     dpu.host_write(cl.chunk_index_off, chunk_index.data(),
                    chunk_index.size() * sizeof(std::uint32_t));
     cl.centroid_off = dpu.mram_alloc(kDim * sizeof(float), "centroid");
+    cl.table_off = dpu.mram_alloc(kM * 256 * sizeof(float), "cluster-table");
     layout.clusters.push_back(cl);
 
     input.k = kK;
-    input.queries_off = dpu.mram_alloc(kDim * sizeof(float), "query");
+    input.query_rows = {0};
+    dpu.mram_mirror(query_row.data(), input.query_rows.data(), 1,
+                    query_row.size() * sizeof(float), "batch-queries");
     input.results_off = dpu.mram_alloc(kK * 8, "results");
-    input.n_queries = 1;
     input.items.push_back({0, 0});
   }
 
@@ -247,11 +245,16 @@ struct MiniKernel {
   std::uint64_t expected_dma_cycles(unsigned t) const {
     const DpuClusterData& cl = layout.clusters[0];
     std::uint64_t total = 0;
-    // S0 LUT build: the kM*256 entries split into equal contiguous ranges
-    // of 8-entry blocks (ceil split). A tasklet with a range views the
-    // query and centroid slices of the subspaces it touches, the scale
-    // table, and its codebook range (at most the whole 2048 B codebook
-    // here, so one DMA); a tasklet with an empty range views nothing.
+    // S0 LUT build (precomputed tables): the kM*256 entries split into
+    // equal contiguous ranges of 8-entry blocks (ceil split). A tasklet with
+    // a range views the query and centroid slices of the subspaces it
+    // touches (for A_s), then streams each touched subspace's run of B (the
+    // query row's table, host-mirrored) and C (the cluster table) in staging
+    // pieces: the old codebook footprint kM*256*kDsub split into 2t
+    // buffers of whole 8-entry blocks, one B and one C DMA per piece. A
+    // tasklet with an empty range views nothing.
+    const std::size_t stage = std::clamp<std::size_t>(
+        kM * 256 * kDsub / (2 * t) / 32 * 8, 8, 512);
     const std::size_t n_blocks = kM * 256 / 8;
     const std::size_t per = (n_blocks + t - 1) / t;
     for (unsigned id = 0; id < t; ++id) {
@@ -260,8 +263,12 @@ struct MiniKernel {
       if (lo == hi) continue;
       const std::size_t subspaces = (hi + 255) / 256 - lo / 256;
       total += 2 * dma(subspaces * kDsub * sizeof(float));
-      total += dma(kM * sizeof(float));
-      total += dma((hi - lo) * kDsub);
+      for (std::size_t s = lo / 256; s * 256 < hi; ++s) {
+        const std::size_t run_hi = std::min(hi, (s + 1) * 256);
+        for (std::size_t e = std::max(lo, s * 256); e < run_hi; e += stage) {
+          total += 2 * dma(std::min(stage, run_hi - e) * sizeof(float));
+        }
+      }
     }
     // S4 distance: one chunk-index slice DMA per tasklet — ceil(n_chunks/t)
     // entries, capped at the table. This is the accounting under test: the

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -587,6 +588,59 @@ TEST(Parity, AttachingARegistryChangesNothing) {
   EXPECT_GT(reg.counter("transfer.push.bytes").value(), 0u);
   EXPECT_GT(reg.counter("transfer.gather.bytes").value(), 0u);
   EXPECT_GT(reg.counter("schedule.assignments").value(), 0u);
+}
+
+TEST(Metrics, CriticalDpuGaugesDescribeTheBoundingDpu) {
+  // Drive one batch stage by stage so the test can see the launch inputs
+  // and the slowest DPU the gauges must describe.
+  auto& f = fixture();
+  core::UpAnnsEngine engine(f.index, f.stats, f.options());
+  MetricsRegistry reg;
+  engine.set_metrics(&reg);
+  core::QueryPipeline pl(engine);
+  core::ClusterFilterStage filter;
+  core::ScheduleStage schedule;
+  core::PushStage push;
+  core::LaunchStage launch;
+  core::BatchContext ctx;
+  ctx.queries = &f.wl.queries;
+  ctx.report.pim.emplace();
+  for (core::QueryStage* st :
+       std::initializer_list<core::QueryStage*>{&filter, &schedule, &push,
+                                                &launch}) {
+    st->run(pl, ctx);
+  }
+
+  const std::size_t slowest = ctx.launch.slowest_dpu;
+  const core::DpuLaunchInput& in = ctx.inputs[slowest];
+  ASSERT_FALSE(in.items.empty());
+  EXPECT_EQ(reg.gauge("pim.critical.assignments").value(),
+            static_cast<double>(in.items.size()));
+  EXPECT_EQ(reg.gauge("pim.critical.unique_queries").value(),
+            static_cast<double>(in.query_rows.size()));
+  EXPECT_LE(in.query_rows.size(), in.items.size());
+  EXPECT_EQ(reg.gauge("pim.critical.lut_seconds").value(),
+            ctx.report.times.lut_build);
+  EXPECT_EQ(reg.gauge("pim.critical.scan_seconds").value(),
+            ctx.report.times.distance_calc);
+  EXPECT_EQ(reg.gauge("pim.critical.topk_seconds").value(),
+            ctx.report.times.topk);
+  EXPECT_EQ(ctx.launch.dpu_seconds[slowest],
+            *std::max_element(ctx.launch.dpu_seconds.begin(),
+                              ctx.launch.dpu_seconds.end()));
+
+  std::size_t max_items = 0, total = 0, holders = 0;
+  for (std::size_t d = 0; d < ctx.inputs.size(); ++d) {
+    if (engine.placement().dpu_clusters[d].empty()) continue;
+    max_items = std::max(max_items, ctx.inputs[d].items.size());
+    total += ctx.inputs[d].items.size();
+    ++holders;
+  }
+  const double balance = reg.gauge("pim.assignment_balance").value();
+  EXPECT_DOUBLE_EQ(balance, static_cast<double>(max_items) *
+                                static_cast<double>(holders) /
+                                static_cast<double>(total));
+  EXPECT_GE(balance, 1.0);
 }
 
 }  // namespace
