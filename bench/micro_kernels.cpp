@@ -2,6 +2,8 @@
 // construction, ADC scans, heap maintenance, CAE encoding, placement and
 // scheduling. These measure the *simulator's* host cost (how fast we can
 // evaluate the model), complementing the simulated-time figure benches.
+#include <cstring>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -160,7 +162,7 @@ struct KernelImage {
   pim::Dpu dpu{0};
   core::DpuStaticLayout layout;
   core::DpuLaunchInput input;
-  std::vector<float> query_row;  ///< the pushed query row (host-mirrored)
+  std::vector<std::uint8_t> query_row;  ///< the pushed row (host-mirrored)
 
   KernelImage(core::KernelMode mode, std::size_t n_records) {
     common::Rng rng(17);
@@ -194,14 +196,15 @@ struct KernelImage {
         dpu.host_write(cl.stream_off + i, &c, 1);
       }
     } else {
-      // Direct-token records: u16 length prefix + kM tokens each.
+      // Direct-token records: the record header (length, norm term) +
+      // kM tokens each.
       std::vector<std::uint16_t> stream;
       std::vector<std::uint32_t> chunk_index;
       for (std::size_t r = 0; r < n_records; ++r) {
         if (r % core::kChunkRecords == 0) {
           chunk_index.push_back(static_cast<std::uint32_t>(stream.size()));
         }
-        stream.push_back(kM);
+        stream.insert(stream.end(), {kM, static_cast<std::uint16_t>(r), 0});
         for (std::size_t pos = 0; pos < kM; ++pos) {
           stream.push_back(
               static_cast<std::uint16_t>(pos * 256 + rng.below(256)));
@@ -219,17 +222,24 @@ struct KernelImage {
                      chunk_index.size() * sizeof(std::uint32_t));
     }
     cl.centroid_off = dpu.mram_alloc(kDim * sizeof(float), "centroid");
-    // Token modes add up precomputed tables; zeros keep the scan's work
-    // independent of their values.
-    cl.table_off = dpu.mram_alloc(kM * 256 * sizeof(float), "cluster-table");
     layout.clusters.push_back(cl);
 
     input.k = kK;
     input.query_rows = {0};
-    query_row = random_vecs(1, kDim, 23);
-    query_row.resize(core::query_row_floats(layout, mode), 0.f);
+    // kNaiveRaw pushes the query vector, the token modes its u16 table
+    // (random entries stand in for a quantized one).
+    query_row.resize(core::query_row_bytes(layout, mode));
+    if (mode == core::KernelMode::kNaiveRaw) {
+      const std::vector<float> q = random_vecs(1, kDim, 23);
+      std::memcpy(query_row.data(), q.data(), query_row.size());
+    } else {
+      for (std::size_t e = 0; e < kM * 256; ++e) {
+        const auto v = static_cast<std::uint16_t>(rng.below(65536));
+        std::memcpy(query_row.data() + e * sizeof(v), &v, sizeof(v));
+      }
+    }
     dpu.mram_mirror(query_row.data(), input.query_rows.data(), 1,
-                    query_row.size() * sizeof(float), "batch-queries");
+                    query_row.size(), "batch-queries");
     input.results_off = dpu.mram_alloc(kK * 8, "results");
     input.items.push_back({0, 0});
   }

@@ -29,31 +29,28 @@ struct Neighbor {
   }
 };
 
-/// Fixed-capacity max-heap keeping the k best (smallest) candidates.
+/// Fixed-capacity max-heap keeping the k best (smallest) candidates of any
+/// totally ordered candidate type (operator<, id tie-break included).
 /// push() is O(log k) once full, O(log size) while filling.
-class BoundedMaxHeap {
+template <typename T>
+class BasicBoundedMaxHeap {
  public:
-  explicit BoundedMaxHeap(std::size_t k) : k_(k) { data_.reserve(k); }
+  explicit BasicBoundedMaxHeap(std::size_t k) : k_(k) { data_.reserve(k); }
 
   std::size_t capacity() const { return k_; }
   std::size_t size() const { return data_.size(); }
   bool full() const { return data_.size() == k_; }
   bool empty() const { return data_.empty(); }
 
-  /// Current worst (largest) retained distance; +inf while not full.
-  float threshold() const {
-    return full() ? data_.front().dist : std::numeric_limits<float>::infinity();
-  }
-
   /// The worst retained candidate (heap root). Only valid when non-empty;
   /// `n < worst()` is the exact acceptance test push() applies when full,
-  /// including the id tie-break — pruning must use this, not threshold(),
-  /// to stay result-identical.
-  const Neighbor& worst() const { return data_.front(); }
+  /// including the id tie-break — pruning must use this, not a distance-only
+  /// threshold, to stay result-identical.
+  const T& worst() const { return data_.front(); }
 
   /// Insert a candidate if it beats the current threshold.
   /// Returns true if the candidate was retained.
-  bool push(Neighbor n) {
+  bool push(T n) {
     if (k_ == 0) return false;
     if (!full()) {
       data_.push_back(n);
@@ -67,12 +64,10 @@ class BoundedMaxHeap {
     return true;
   }
 
-  bool push(float dist, std::uint32_t id) { return push(Neighbor{dist, id}); }
-
-  const std::vector<Neighbor>& raw() const { return data_; }
+  const std::vector<T>& raw() const { return data_; }
 
   /// Destructively extract candidates sorted by ascending distance.
-  std::vector<Neighbor> take_sorted() {
+  std::vector<T> take_sorted() {
     std::sort_heap(data_.begin(), data_.end());
     return std::exchange(data_, {});
   }
@@ -81,15 +76,15 @@ class BoundedMaxHeap {
   /// Unlike take_sorted(), both the heap's storage and `out` keep their
   /// capacity, so repeated extract/refill cycles allocate nothing once
   /// warm — the DPU-kernel merge stage depends on this.
-  void take_sorted_into(std::vector<Neighbor>& out) {
+  void take_sorted_into(std::vector<T>& out) {
     std::sort_heap(data_.begin(), data_.end());
     out.assign(data_.begin(), data_.end());
     data_.clear();
   }
 
   /// Non-destructive sorted copy.
-  std::vector<Neighbor> sorted() const {
-    std::vector<Neighbor> out = data_;
+  std::vector<T> sorted() const {
+    std::vector<T> out = data_;
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -98,7 +93,21 @@ class BoundedMaxHeap {
 
  private:
   std::size_t k_;
-  std::vector<Neighbor> data_;
+  std::vector<T> data_;
+};
+
+/// The float-distance heap every architecture path shares.
+class BoundedMaxHeap : public BasicBoundedMaxHeap<Neighbor> {
+ public:
+  using BasicBoundedMaxHeap::BasicBoundedMaxHeap;
+  using BasicBoundedMaxHeap::push;
+
+  /// Current worst (largest) retained distance; +inf while not full.
+  float threshold() const {
+    return full() ? worst().dist : std::numeric_limits<float>::infinity();
+  }
+
+  bool push(float dist, std::uint32_t id) { return push(Neighbor{dist, id}); }
 };
 
 /// Merge several ascending-sorted candidate lists into the k best overall.

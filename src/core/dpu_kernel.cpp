@@ -5,9 +5,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "common/fastround.hpp"
 #include "common/simd_dispatch.hpp"
+#include "common/thread_pool.hpp"
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -23,19 +26,20 @@ namespace {
 // arithmetic the raw-code path pays per element.
 constexpr std::uint64_t kInstrLutPerDim = 3;      // load cb, dequant-sub, fma
 constexpr std::uint64_t kInstrLutPerEntry = 3;    // max-track, store, loop
-// Precomputed S0, per entry on top of kInstrLutPerEntry: load B, load C (both
-// from the WRAM staging buffers), add A_s, add C, clamp at 0 (a sign-test
-// select, like the tombstone mask). Versus dsub * kInstrLutPerDim, this is
-// the multiply-add work the host-side tables take off the DPU.
-constexpr std::uint64_t kInstrLutTablePerEntry = 5;
 constexpr std::uint64_t kInstrQuantPerEntry = 3;  // load, scale, store
 constexpr std::uint64_t kInstrComboPerSlot = 8;   // 3 loads + 2 adds + store + addr
 constexpr std::uint64_t kInstrTokenScan = 3;      // load token, LUT load, add
 constexpr std::uint64_t kInstrRawScan = 4;        // + running-base addressing
-constexpr std::uint64_t kInstrRecordOverhead = 5; // header, loop, compare, scale
-constexpr std::uint64_t kInstrResidualPerDim = 3; // load, sub, store (or
-                                                  // square-accumulate: A_s)
+// header, loop, compare, and the key seed: the UpANNS modes load n_r and add
+// K_pair where kNaiveRaw scales its integer sum into a float distance.
+constexpr std::uint64_t kInstrRecordOverhead = 5;
+constexpr std::uint64_t kInstrResidualPerDim = 3; // load, sub, store
 constexpr std::uint64_t kInstrTombstoneMask = 1;  // id-vs-sentinel select
+// Per-query S0, per tasklet: slice address, size, DMA issue, loop.
+constexpr std::uint64_t kInstrTableSlice = 4;
+// S5 in the UpANNS modes, per result: the DPU has no FPU, so U * key is a
+// software int-to-float conversion plus a float multiply.
+constexpr std::uint64_t kInstrKeyToDistance = 40;
 
 std::uint64_t heap_push_cost(std::size_t k) {
   std::uint64_t lg = 1;
@@ -101,6 +105,159 @@ void LutCodebook::cluster_table(const float* centroid, float* out) const {
   }
 }
 
+KeyCodec::KeyCodec(LutCodebook codebook, const float* centroids,
+                   std::size_t n_clusters, std::size_t dim)
+    : codebook_(std::move(codebook)), dim_(dim), centre_(dim, 0.f) {
+  const std::size_t m = codebook_.m();
+  const std::size_t dsub = codebook_.dsub();
+  if (n_clusters > 0) {
+    std::vector<double> sum(dim, 0.0);
+    for (std::size_t c = 0; c < n_clusters; ++c) {
+      for (std::size_t d = 0; d < dim; ++d) sum[d] += centroids[c * dim + d];
+    }
+    for (std::size_t d = 0; d < dim; ++d) {
+      centre_[d] = static_cast<float>(sum[d] / static_cast<double>(n_clusters));
+    }
+  }
+
+  // Y_s from the codeword norms: C'(mu) = |y_sj|^2 (the centred table of a
+  // centroid at mu itself).
+  std::vector<float> scratch(dim), table(codebook_.table_size());
+  centred_cluster_table(centre_.data(), scratch.data(), table.data());
+  std::vector<double> y2(m, 0.0);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t j = 0; j < 256; ++j) {
+      y2[s] = std::max(y2[s], static_cast<double>(table[s * 256 + j]));
+    }
+  }
+
+  // R_s^2 = max over centroids and codewords of |c_s - mu_s|^2 + C'_s[j],
+  // and min N = sum_s min_j C'_s[j] per cluster (its norm offset, once U is
+  // known). Clusters are independent, so the parallel pass is deterministic.
+  std::vector<double> r2(n_clusters * m, 0.0), min_norm(n_clusters, 0.0);
+  common::ThreadPool::global().parallel_for(
+      0, n_clusters,
+      [&](std::size_t c) {
+        std::vector<float> res(dim), t(codebook_.table_size());
+        const float* ctr = centroids + c * dim;
+        centred_cluster_table(ctr, res.data(), t.data());
+        double n_min = 0.0;
+        for (std::size_t s = 0; s < m; ++s) {
+          double off2 = 0.0, hi = -std::numeric_limits<double>::infinity();
+          float lo = std::numeric_limits<float>::infinity();
+          for (std::size_t d = 0; d < dsub; ++d) {
+            const double v = res[s * dsub + d];
+            off2 += v * v;
+          }
+          for (std::size_t j = 0; j < 256; ++j) {
+            hi = std::max(hi, static_cast<double>(t[s * 256 + j]));
+            lo = std::min(lo, t[s * 256 + j]);
+          }
+          r2[c * m + s] = std::max(0.0, off2 + hi);
+          n_min += lo;
+        }
+        min_norm[c] = n_min;
+      },
+      8);
+  double unit = 0.0;
+  for (std::size_t s = 0; s < m; ++s) {
+    double r2_max = 0.0;
+    for (std::size_t c = 0; c < n_clusters; ++c) {
+      r2_max = std::max(r2_max, r2[c * m + s]);
+    }
+    unit = std::max(unit, 4.0 * std::sqrt(r2_max) * std::sqrt(y2[s]) / 65535.0);
+  }
+  // A degenerate codebook (every codeword zero) makes every table entry 0,
+  // which any unit represents exactly.
+  unit_ = unit > 0.0 && std::isfinite(unit) ? unit : 1.0;
+  norm_offsets_.resize(n_clusters);
+  for (std::size_t c = 0; c < n_clusters; ++c) {
+    norm_offsets_[c] = static_cast<std::int32_t>(to_units(min_norm[c]));
+  }
+}
+
+std::int64_t KeyCodec::to_units(double v) const {
+  return std::llround(v / unit_);
+}
+
+void KeyCodec::centred_cluster_table(const float* centroid, float* scratch,
+                                     float* table) const {
+  for (std::size_t d = 0; d < dim_; ++d) scratch[d] = centroid[d] - centre_[d];
+  codebook_.cluster_table(scratch, table);
+}
+
+double KeyCodec::query_table(const float* query, std::uint16_t* out,
+                             std::size_t& saturated) const {
+  thread_local std::vector<float> res, b;
+  res.resize(dim_);
+  b.resize(codebook_.table_size());
+  for (std::size_t d = 0; d < dim_; ++d) res[d] = query[d] - centre_[d];
+  codebook_.query_table(res.data(), b.data());
+  double offset = 0.0;
+  for (std::size_t s = 0; s < codebook_.m(); ++s) {
+    const float* row = b.data() + s * 256;
+    const float lo = *std::min_element(row, row + 256);
+    offset += lo;
+    for (std::size_t j = 0; j < 256; ++j) {
+      const std::int64_t v = to_units(static_cast<double>(row[j]) - lo);
+      if (v > 65535) ++saturated;
+      out[s * 256 + j] = static_cast<std::uint16_t>(std::min<std::int64_t>(v, 65535));
+    }
+  }
+  return offset;
+}
+
+void KeyCodec::record_norms(std::size_t c, const float* centroid,
+                            const std::uint8_t* codes, std::size_t n,
+                            std::vector<std::uint32_t>& out) const {
+  if (n == 0) return;
+  const std::size_t m = codebook_.m();
+  std::vector<float> res(dim_), table(codebook_.table_size());
+  centred_cluster_table(centroid, res.data(), table.data());
+  for (std::size_t r = 0; r < n; ++r) {
+    // Summed in subspace order, so N_r >= the cluster's min N term by term
+    // and the rounded difference cannot go negative.
+    double norm = 0.0;
+    for (std::size_t s = 0; s < m; ++s) norm += table[s * 256 + codes[r * m + s]];
+    out.push_back(static_cast<std::uint32_t>(to_units(norm) - norm_offsets_[c]));
+  }
+}
+
+std::int32_t KeyCodec::pair_key(float coarse_dist, double query_offset,
+                                std::size_t c) const {
+  // Clamped to leave 2^30 of headroom for the table entries and n_r, so a
+  // key does not wrap the DPU's 32-bit adds. Only a query hundreds of data
+  // radii from every centroid reaches the clamp.
+  constexpr std::int64_t kLimit = std::int64_t{1} << 30;
+  return static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      to_units(static_cast<double>(coarse_dist) + query_offset) +
+          norm_offsets_[c],
+      -kLimit, kLimit));
+}
+
+void build_record_stream(const CaeClusterEncoding& enc,
+                         const std::vector<std::uint32_t>& norms,
+                         std::vector<std::uint16_t>& stream,
+                         std::vector<std::uint32_t>& chunk_index) {
+  assert(norms.size() == enc.n_records);
+  stream.clear();
+  chunk_index.clear();
+  stream.reserve(enc.tokens.size() + 2 * enc.n_records);
+  std::size_t off = 0;
+  for (std::size_t r = 0; r < enc.n_records; ++r) {
+    if (r % kChunkRecords == 0) {
+      chunk_index.push_back(static_cast<std::uint32_t>(stream.size()));
+    }
+    const std::uint16_t len = enc.tokens[off];
+    stream.push_back(len);
+    stream.push_back(static_cast<std::uint16_t>(norms[r] & 0xFFFFu));
+    stream.push_back(static_cast<std::uint16_t>(norms[r] >> 16));
+    stream.insert(stream.end(), enc.tokens.begin() + off + 1,
+                  enc.tokens.begin() + off + 1 + len);
+    off += 1 + len;
+  }
+}
+
 QueryKernel::QueryKernel(const DpuStaticLayout& layout,
                          const DpuLaunchInput& input, KernelMode mode,
                          bool prune_topk)
@@ -117,14 +274,24 @@ QueryKernel::QueryKernel(const DpuStaticLayout& layout,
 
 void QueryKernel::rebind(const DpuLaunchInput& input) {
   input_ = &input;
-  // Rebuild the phase program in place: items arrive grouped by query; each
-  // item gets the per-cluster stages, and each query closes with one merge
-  // phase. program_ keeps its capacity across batches.
+  // Rebuild the phase program in place: items arrive grouped by query. In
+  // the UpANNS modes each query opens with its table load; kNaiveRaw builds
+  // a LUT per item instead. Every item then gets its combo sums (kCae) and
+  // scan, and each query closes with one merge phase. program_ keeps its
+  // capacity across batches.
   program_.clear();
+  const bool naive = mode_ == KernelMode::kNaiveRaw;
   for (std::uint32_t i = 0; i < input_->items.size(); ++i) {
-    program_.push_back({Step::kLutBuild, i});
-    program_.push_back({Step::kLutReduce, i});
-    program_.push_back({Step::kLutQuantize, i});
+    const bool first_of_query =
+        i == 0 ||
+        input_->items[i - 1].query_local != input_->items[i].query_local;
+    if (naive) {
+      program_.push_back({Step::kLutBuild, i});
+      program_.push_back({Step::kLutReduce, i});
+      program_.push_back({Step::kLutQuantize, i});
+    } else if (first_of_query) {
+      program_.push_back({Step::kQueryTable, i});
+    }
     if (mode_ == KernelMode::kCae && cluster_of(i).n_combos > 0) {
       program_.push_back({Step::kComboSums, i});
     }
@@ -145,10 +312,11 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
 
   const std::size_t m = layout_.m;
   const std::size_t k = input_->k;
+  const bool naive = mode_ == KernelMode::kNaiveRaw;
 
   // Fixed-region layout (paper Fig 6). Heaps and the partial-sum cache live
-  // below the LUT; the codebook is last so it can be rewound and reused as
-  // per-tasklet read buffers during the distance stage.
+  // below the LUT; in kNaiveRaw the codebook is last so it can be rewound
+  // and reused as per-tasklet read buffers during the distance stage.
   const std::size_t heap_bytes = (n_tasklets + 1) * k * 8;
   wram.alloc(heap_bytes, "topk-heaps");
 
@@ -158,55 +326,45 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
                           layout_.clusters[item.cluster_slot].n_combos);
   }
   if (mode_ == KernelMode::kCae && max_combos > 0) {
-    wram_combo_off = wram.alloc(max_combos * sizeof(std::uint32_t),
-                                "combo-partial-sums");
+    wram.alloc(max_combos * sizeof(std::uint32_t), "combo-partial-sums");
   }
-  query_row_bytes_ = query_row_floats(layout_, mode_) * sizeof(float);
-  wram_query_off = wram.alloc(layout_.dim * sizeof(float), "query-residual");
-  // Float LUT region; the u16 LUT compacts into its first half in place.
-  wram_lut_off = wram.alloc(m * 256 * sizeof(float), "lut");
-  // The S0 staging region keeps the codebook's footprint in every mode. The
-  // precomputed S0 splits it into 2 * n_tasklets buffers (B and C per
-  // tasklet) of whole 8-entry blocks, at most one maximal DMA each.
-  const std::size_t stage_region = m * 256 * layout_.dsub;
-  const char* stage_tag =
-      mode_ == KernelMode::kNaiveRaw ? "codebook" : "lut-staging";
-  stage_entries_ = std::clamp<std::size_t>(
-      stage_region / (2 * n_tasklets) / (8 * sizeof(float)) * 8, 8,
-      hw::kMramMaxTransfer / sizeof(float));
-  wram_codebook_mark = wram.mark();
-  wram_codebook_off = wram.alloc(stage_region, stage_tag);
+  query_row_bytes_ = query_row_bytes(layout_, mode_);
+  std::size_t mark = 0;
+  if (naive) {
+    wram.alloc(layout_.dim * sizeof(float), "query-residual");
+    // Float LUT region; the u16 LUT compacts into its first half in place.
+    wram.alloc(m * 256 * sizeof(float), "lut");
+    mark = wram.mark();
+    wram.alloc(m * 256 * layout_.dsub, "codebook");
+  } else {
+    wram.alloc(m * 256 * sizeof(std::uint16_t), "lut");
+    mark = wram.mark();
+  }
 
   // Per-tasklet stream buffers must hold a full chunk (plus its ids) so
-  // records never straddle buffers; verify the reuse region can host them.
-  const std::size_t elem_size = mode_ == KernelMode::kNaiveRaw ? 1 : 2;
+  // records never straddle buffers; verify the distance-stage working set
+  // fits (in kNaiveRaw, in place of the rewound codebook).
+  const std::size_t elem_size = naive ? 1 : 2;
   const std::size_t chunk_stream_bytes =
-      kChunkRecords * (m + (mode_ == KernelMode::kNaiveRaw ? 0 : 1)) *
-      elem_size;
+      kChunkRecords * (m + (naive ? 0 : kRecordHeaderElems)) * elem_size;
   per_tasklet_buf_bytes_ =
       (chunk_stream_bytes + kChunkRecords * sizeof(std::uint32_t) + 7) / 8 * 8;
-  {
-    // Probe: rewind to the codebook mark and check the distance-stage
-    // working set fits, then restore the codebook allocation.
-    wram.rewind(wram_codebook_mark);
-    for (unsigned t = 0; t < n_tasklets; ++t) {
-      wram.alloc(per_tasklet_buf_bytes_, "stream-buffer");
-    }
-    wram.rewind(wram_codebook_mark);
-    wram.alloc(stage_region, stage_tag);
+  wram.rewind(mark);
+  for (unsigned t = 0; t < n_tasklets; ++t) {
+    wram.alloc(per_tasklet_buf_bytes_, "stream-buffer");
   }
 
   // Functional mirrors, reused from the scratch arena across launches.
-  KernelScratch::assign(scratch_.lut_f32, m * 256, 0.f);
-  KernelScratch::assign(scratch_.lut_u16, m * 256,
-                        static_cast<std::uint16_t>(0));
-  KernelScratch::assign(scratch_.combo_sums, max_combos,
-                        static_cast<std::uint32_t>(0));
+  if (naive) {
+    KernelScratch::assign(scratch_.lut_f32, m * 256, 0.f);
+    KernelScratch::assign(scratch_.lut_u16, m * 256,
+                          static_cast<std::uint16_t>(0));
+    KernelScratch::assign(scratch_.residual, layout_.dim, 0.f);
+    KernelScratch::assign(scratch_.tasklet_max,
+                          static_cast<std::size_t>(n_tasklets), 0.f);
+  }
   KernelScratch::assign(scratch_.token_table, m * 256 + max_combos,
                         static_cast<std::uint32_t>(0));
-  KernelScratch::assign(scratch_.residual, layout_.dim, 0.f);
-  KernelScratch::assign(scratch_.tasklet_max,
-                        static_cast<std::size_t>(n_tasklets), 0.f);
   if (local_heaps_.size() != n_tasklets ||
       (!local_heaps_.empty() && local_heaps_.front().capacity() != k)) {
     detail::note_hot_path_allocation();
@@ -218,7 +376,7 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   }
   if (global_heap_.capacity() != k) {
     detail::note_hot_path_allocation();
-    global_heap_ = common::BoundedMaxHeap(k);
+    global_heap_ = KeyHeap(k);
   } else {
     global_heap_.clear();
   }
@@ -238,6 +396,7 @@ unsigned QueryKernel::n_phases() const {
 void QueryKernel::run_phase(unsigned phase, pim::TaskletCtx& ctx) {
   const Phase& p = program_[phase];
   switch (p.step) {
+    case Step::kQueryTable: return phase_query_table(p, ctx);
     case Step::kLutBuild: return phase_lut_build(p, ctx);
     case Step::kLutReduce: return phase_lut_reduce(ctx);
     case Step::kLutQuantize: return phase_lut_quantize(ctx);
@@ -418,105 +577,25 @@ LutRange lut_range(std::size_t m, unsigned tasklet, unsigned n_tasklets) {
   return {lo * kBlock, hi * kBlock};
 }
 
-/// One staged piece of the precomputed S0: out[j] = max(0, (a + b[j]) +
-/// c[j]) for n entries (n % 8 == 0); returns the piece max. The SSE2 form
-/// runs the scalar form's IEEE add, add and select per lane (maxps(v, 0)
-/// yields 0 exactly where v > 0 is false), and a max over non-negative,
-/// non-NaN values is order-free, so both forms agree bit for bit.
-float lut_tables_piece(float a, const float* b, const float* c, float* out,
-                       std::size_t n, [[maybe_unused]] bool vector) {
-  assert(n % 8 == 0);
-#if defined(__SSE2__)
-  if (vector) {
-    const __m128 zero = _mm_setzero_ps();
-    const __m128 av = _mm_set1_ps(a);
-    __m128 mx = zero;
-    for (std::size_t j = 0; j < n; j += 4) {
-      const __m128 v = _mm_max_ps(
-          _mm_add_ps(_mm_add_ps(av, _mm_loadu_ps(b + j)), _mm_loadu_ps(c + j)),
-          zero);
-      _mm_storeu_ps(out + j, v);
-      mx = _mm_max_ps(mx, v);
-    }
-    alignas(16) float lanes[4];
-    _mm_store_ps(lanes, mx);
-    return std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-  }
-#endif
-  float mx = 0.f;
-  for (std::size_t j = 0; j < n; ++j) {
-    const float v = (a + b[j]) + c[j];
-    out[j] = v > 0.f ? v : 0.f;
-    mx = std::max(mx, out[j]);
-  }
-  return mx;
-}
-
 }  // namespace
 
-void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
-  if (mode_ == KernelMode::kNaiveRaw) return phase_lut_build_codebook(p, ctx);
-  const DpuClusterData& cl = cluster_of(p.item);
-  const std::size_t dsub = layout_.dsub;
-  const std::size_t m = layout_.m;
-
-  // Same block split as the codebook S0 below: every tasklet issues the same
-  // instruction count to within one block. A tasklet with no block idles.
-  const LutRange r = lut_range(m, ctx.id(), ctx.n_tasklets());
-  if (r.lo == r.hi) {
-    scratch_.tasklet_max[ctx.id()] = 0.f;
-    return;
-  }
-  const std::size_t s_lo = r.lo / 256;
-  const std::size_t s_hi = (r.hi + 255) / 256;
-
-  // Query and centroid slices of the subspaces the range touches, as
-  // borrowed views (A_s below). A subspace shared by two ranges is computed
-  // by both with identical values.
-  const std::size_t res_lo = s_lo * dsub;
-  const std::size_t res_n = (s_hi - s_lo) * dsub;
-  const std::size_t q_row =
+void QueryKernel::phase_query_table(const Phase& p, pim::TaskletCtx& ctx) {
+  // The query's table is already quantized on the host: each tasklet DMAs
+  // its block range of the mirrored row into the WRAM LUT region, with the
+  // same 8-entry block split S0 uses in kNaiveRaw. The widening into the
+  // token table is a host-side convenience of the simulator, not charged.
+  const LutRange r = lut_range(layout_.m, ctx.id(), ctx.n_tasklets());
+  if (r.lo == r.hi) return;
+  const std::size_t row =
       static_cast<std::size_t>(input_->items[p.item].query_local) *
       query_row_bytes_;
-  const float* query = ctx.mirror_view_as<float>(
-      q_row + res_lo * sizeof(float), res_n * sizeof(float));
-  const float* centroid = ctx.mram_view_as<float>(
-      cl.centroid_off + res_lo * sizeof(float), res_n * sizeof(float));
-  ctx.instr(res_n * kInstrResidualPerDim);
-
-  // Per touched subspace: A_s = |q_s - c_s|^2, then stream the run's B slice
-  // (the query row's table, after the vector) and C slice (the replica's
-  // cluster table) through the staging buffers and emit A + B + C clamped
-  // at 0, so S2's round_nonneg domain holds where cancellation rounds
-  // below 0.
-  const std::size_t b_off = q_row + layout_.dim * sizeof(float);
-  const bool vector = common::simd_active_level() != common::SimdLevel::kScalar;
-  float local_max = 0.f;
-  for (std::size_t s = s_lo; s < s_hi; ++s) {
-    float a = 0.f;
-    for (std::size_t d = (s - s_lo) * dsub; d < (s - s_lo + 1) * dsub; ++d) {
-      const float diff = query[d] - centroid[d];
-      a += diff * diff;
-    }
-    const std::size_t e_hi = std::min(r.hi, (s + 1) * 256);
-    for (std::size_t e = std::max(r.lo, s * 256); e < e_hi;
-         e += stage_entries_) {
-      const std::size_t n = std::min(stage_entries_, e_hi - e);
-      const float* b = ctx.mirror_view_as<float>(b_off + e * sizeof(float),
-                                                 n * sizeof(float));
-      const float* c = ctx.mram_view_as<float>(
-          cl.table_off + e * sizeof(float), n * sizeof(float));
-      local_max = std::max(
-          local_max, lut_tables_piece(a, b, c, scratch_.lut_f32.data() + e, n,
-                                      vector));
-    }
-  }
-  ctx.instr((r.hi - r.lo) * (kInstrLutTablePerEntry + kInstrLutPerEntry));
-  scratch_.tasklet_max[ctx.id()] = local_max;
+  const std::uint16_t* table = ctx.mirror_view_as<std::uint16_t>(
+      row + r.lo * sizeof(std::uint16_t), (r.hi - r.lo) * sizeof(std::uint16_t));
+  std::copy(table, table + (r.hi - r.lo), scratch_.token_table.data() + r.lo);
+  ctx.instr(kInstrTableSlice);
 }
 
-void QueryKernel::phase_lut_build_codebook(const Phase& p,
-                                           pim::TaskletCtx& ctx) {
+void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
   const DpuClusterData& cl = cluster_of(p.item);
   const std::size_t dsub = layout_.dsub;
   const std::size_t m = layout_.m;
@@ -624,18 +703,18 @@ void QueryKernel::phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx) {
   const std::size_t hi = std::min(n, lo + per);
   if (lo >= hi) return;
 
+  // The table half of token_table holds the query's u16 entries widened,
+  // so each slot is the exact u32 sum of its three entries.
   const std::size_t lut_span = layout_.m * 256;
+  std::uint32_t* table = scratch_.token_table.data();
   const std::uint8_t* defs =
       ctx.mram_view(cl.combos_off + lo * 4, (hi - lo) * 4);
   for (std::size_t s = lo; s < hi; ++s) {
     const std::uint8_t* d = defs + (s - lo) * 4;
     const std::size_t pos = d[0];
-    const std::uint32_t sum =
-        static_cast<std::uint32_t>(scratch_.lut_u16[pos * 256 + d[1]]) +
-        scratch_.lut_u16[(pos + 1) * 256 + d[2]] +
-        scratch_.lut_u16[(pos + 2) * 256 + d[3]];
-    scratch_.combo_sums[s] = sum;
-    scratch_.token_table[lut_span + s] = sum;
+    table[lut_span + s] = table[pos * 256 + d[1]] +
+                          table[(pos + 1) * 256 + d[2]] +
+                          table[(pos + 2) * 256 + d[3]];
   }
   ctx.instr((hi - lo) * kInstrComboPerSlot);
 }
@@ -707,17 +786,17 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
                                            input_->mram_read_bytes)
                                      : hw::kMramMaxTransfer;
   const std::uint64_t push_cost = heap_push_cost(k);
-  common::BoundedMaxHeap& heap = local_heaps_[ctx.id()];
+  KeyHeap& heap = local_heaps_[ctx.id()];
   // Tombstone masking is hoisted per cluster: fully live clusters (the
   // read-only serving case) take the exact pre-mutability path — no extra
   // branch, no extra instruction charge.
   const bool masked = cl.n_tombstones != 0;
 
   // Mode-correct chunk working set: raw mode streams m u8 codes per record;
-  // token mode adds the u16 length prefix. This is the per-tasklet WRAM
-  // buffer the cost model charges — it must agree with setup()'s budget.
+  // token mode adds the record header. This is the per-tasklet WRAM buffer
+  // the cost model charges — it must agree with setup()'s budget.
   const std::size_t chunk_capacity_bytes =
-      kChunkRecords * (m + (raw ? 0 : 1)) * elem_size;
+      kChunkRecords * (m + (raw ? 0 : kRecordHeaderElems)) * elem_size;
   assert((chunk_capacity_bytes + kChunkRecords * sizeof(std::uint32_t) + 7) /
              8 * 8 ==
          per_tasklet_buf_bytes_);
@@ -739,12 +818,15 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
         ctx.mram_view(cl.chunk_index_off, own_bytes));
   }
 
-  // Hoisted table pointers: ctx.instr / heap pushes store through other
-  // members, so without locals the compiler must conservatively reload the
-  // vector data pointers on every token.
-  const std::uint16_t* lut = scratch_.lut_u16.data();
+  // Hoisted table pointer: ctx.instr / heap pushes store through other
+  // members, so without a local the compiler must conservatively reload the
+  // vector data pointer on every token.
   const std::uint32_t* token_table = scratch_.token_table.data();
   const float dist_scale = lut_scale_;
+  // The pair's key seed; u32 arithmetic wraps like the DPU's 32-bit adds,
+  // and the sum reads back as the signed key.
+  const std::uint32_t pair_key =
+      static_cast<std::uint32_t>(input_->items[p.item].pair_key);
 #if defined(__SSE2__)
   const bool use_avx2 =
       common::simd_active_level() == common::SimdLevel::kAvx2;
@@ -801,9 +883,10 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
     std::uint64_t chunk_pushes = 0;
     std::size_t cursor = 0;  // element cursor within the chunk span
     for (std::size_t r = 0; r < n_rec; ++r) {
-      std::uint32_t acc = 0;
+      std::int32_t key;
       if (raw) {
         const std::uint8_t* code = chunk_stream + r * m;
+        std::uint32_t acc = 0;
 #if defined(__SSE2__)
         if (use_avx2) {
           acc = raw_sum_avx2(token_table, code, m);
@@ -811,18 +894,25 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
 #endif
         {
           for (std::size_t pos = 0; pos < m; ++pos) {
-            acc += lut[pos * 256 + code[pos]];
+            acc += token_table[pos * 256 + code[pos]];
           }
         }
+        const float dist = static_cast<float>(acc) * dist_scale;
+        std::memcpy(&key, &dist, sizeof(key));
         chunk_elems += m;
       } else {
-        // One unconditional load per token: base tokens and combo tokens
-        // land in adjacent halves of token_table, exactly like the direct
-        // WRAM addresses they model — no per-token range branch.
-        const std::uint16_t len = tokens[cursor++];
+        // Header [len][n_r low][n_r high], then one unconditional load per
+        // token: base tokens and combo tokens land in adjacent halves of
+        // token_table, exactly like the direct WRAM addresses they model —
+        // no per-token range branch.
+        const std::uint16_t len = tokens[cursor];
+        std::uint32_t acc =
+            pair_key + (static_cast<std::uint32_t>(tokens[cursor + 1]) |
+                        static_cast<std::uint32_t>(tokens[cursor + 2]) << 16);
+        cursor += kRecordHeaderElems;
 #if defined(__SSE2__)
         if (use_avx2) {
-          acc = token_sum_avx2(token_table, tokens + cursor, len);
+          acc += token_sum_avx2(token_table, tokens + cursor, len);
         } else
 #endif
         {
@@ -830,16 +920,16 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
             acc += token_table[tokens[cursor + t]];
           }
         }
+        key = static_cast<std::int32_t>(acc);
         cursor += len;
         chunk_elems += len;
       }
-      const float dist = static_cast<float>(acc) * dist_scale;
       // Tombstoned slots still stream (their tokens are in the chunk) but
       // never enter a heap: on hardware this is a compare-and-select on the
       // id, charged once per record only when the cluster has tombstones.
       const std::uint32_t id = ids[r];
       if (!masked || id != kTombstoneId) {
-        if (heap.push(dist, id)) ++chunk_pushes;
+        if (heap.push({key, id})) ++chunk_pushes;
       }
     }
     ctx.instr(chunk_elems * (raw ? kInstrRawScan : kInstrTokenScan) +
@@ -862,11 +952,11 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   // Convert this tasklet's max-heap to ascending (min-first) order — the
   // paper's min-heap trick that enables pruning — then feed the DPU heap
   // under the semaphore. The extraction reuses the arena's sorted buffer.
-  common::BoundedMaxHeap& heap = local_heaps_[ctx.id()];
+  KeyHeap& heap = local_heaps_[ctx.id()];
   const std::size_t n = heap.size();
   if (n > scratch_.sorted.capacity()) detail::note_hot_path_allocation();
   heap.take_sorted_into(scratch_.sorted);
-  const std::vector<common::Neighbor>& sorted = scratch_.sorted;
+  const std::vector<KeyedNeighbor>& sorted = scratch_.sorted;
   if (n > 1) {
     std::uint64_t lg = 1;
     while ((1ull << lg) < n) ++lg;
@@ -898,16 +988,25 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   }
 
   // The last tasklet (runs last in the simulator's deterministic order)
-  // flushes the aggregated top-k to MRAM for the host to gather.
+  // flushes the aggregated top-k to MRAM for the host to gather: UpANNS
+  // keys convert to U * key here, kNaiveRaw keys are already float bits.
   if (ctx.id() + 1 == ctx.n_tasklets()) {
     if (global_heap_.size() > scratch_.result.capacity()) {
       detail::note_hot_path_allocation();
     }
     global_heap_.take_sorted_into(scratch_.result);
     KernelScratch::assign(scratch_.packed, 2 * k, 0xFFFFFFFFu);
+    const bool naive = mode_ == KernelMode::kNaiveRaw;
     for (std::size_t i = 0; i < scratch_.result.size(); ++i) {
+      const std::int32_t key = scratch_.result[i].key;
       std::uint32_t bits;
-      std::memcpy(&bits, &scratch_.result[i].dist, sizeof(bits));
+      if (naive) {
+        std::memcpy(&bits, &key, sizeof(bits));
+      } else {
+        const float dist =
+            static_cast<float>(layout_.unit * static_cast<double>(key));
+        std::memcpy(&bits, &dist, sizeof(bits));
+      }
       scratch_.packed[2 * i] = bits;
       scratch_.packed[2 * i + 1] = scratch_.result[i].id;
     }
@@ -916,7 +1015,7 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
         static_cast<std::size_t>(input_->items[p.item].query_local) * k * 8;
     ctx.mram_write(slot, scratch_.packed.data(),
                    scratch_.packed.size() * sizeof(std::uint32_t));
-    ctx.instr(2 * k);
+    ctx.instr(2 * k + (naive ? 0 : scratch_.result.size() * kInstrKeyToDistance));
     for (auto& h : local_heaps_) h.clear();
   }
 }
@@ -927,6 +1026,7 @@ KernelStageCycles QueryKernel::attribute_stages(
   assert(phase_cycles.size() == program_.size());
   for (std::size_t i = 0; i < program_.size(); ++i) {
     switch (program_[i].step) {
+      case Step::kQueryTable:
       case Step::kLutBuild:
       case Step::kLutReduce:
       case Step::kLutQuantize:

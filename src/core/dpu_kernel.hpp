@@ -1,37 +1,39 @@
 // The UpANNS per-DPU query kernel (paper Fig 6) — Opt2 and Opt4 live here.
 //
-// For every (query, cluster) assignment the kernel executes the
-// barrier-separated stages of Fig 6 on up to 24 tasklets:
-//   S0  float LUT construction                            [Barrier 1]
-//       Tasklets split the m*256 entries into equal contiguous ranges of
-//       8-entry blocks. UpANNS modes use precomputed IVF-PQ tables
-//       (DESIGN.md §6): LUT_sj = A_s + B_sj + C_sj, clamped at 0, where
-//       A_s = |q_s - c_s|^2 is formed from the query and centroid slices,
-//       B (the query table, built once per query by the host and pushed
-//       with the query) is read from the host-mirrored batch region and C
-//       (the cluster table, written at load) from the replica's MRAM image;
-//       both stream through per-tasklet WRAM staging buffers. kNaiveRaw
-//       keeps the paper's S0: each tasklet streams its int8 codebook range
-//       and builds |r_s - y_sj|^2 directly.
-//   S1  LUT scale reduction (tasklet 0)                     [barrier]
-//   S2  LUT quantization to u16, compacted in place         [Barrier 2 prep]
-//   S3  co-occurrence partial sums into the WRAM cache      [Barrier 2]
-//   S4  distance calculation: tasklets stream encoded-point
-//       chunks from MRAM, accumulate LUT entries, maintain
-//       thread-local bounded max-heaps                      [Barrier 3]
-// and, once per query (after its last assigned cluster):
-//   S5  pruned merge of thread-local heaps into the DPU
-//       top-k heap + result write to MRAM                   [Barrier 0]
+// The UpANNS modes (kDirectTokens, kCae) score records with integer keys on
+// one fixed-point unit U (DESIGN.md §6): the host quantizes each query's
+// table once per batch, the engine stores each record's norm term n_r in its
+// stream header at load, and a (query, cluster) pair only adds its K_pair.
+// Barrier-separated stages on up to 24 tasklets:
+//   S0  per query, at its first assignment: the tasklets split the DMA of
+//       the query's u16 table (m*256 entries, host-mirrored) into the WRAM
+//       LUT region in 8-entry blocks                    [Barrier 1]
+//   S3  per assignment (kCae): co-occurrence partial sums — exact u32 sums
+//       of three table entries — into the WRAM cache    [Barrier 2]
+//   S4  per assignment: tasklets stream encoded-record chunks from MRAM;
+//       a record's key starts at K_pair + n_r and adds one table entry per
+//       token; thread-local bounded max-heaps keep the k smallest keys
+//                                                       [Barrier 3]
+//   S5  per query, after its last assignment: pruned merge of the
+//       thread-local heaps into the DPU top-k heap, then the k results
+//       convert to distances U * key and go to MRAM     [Barrier 0]
 //
-// WRAM reuse (paper 4.2.2): the S0 staging region (the codebook in
-// kNaiveRaw, the B/C staging buffers otherwise; m*256*dsub bytes either way)
-// is the *last* fixed allocation; before S4 the kernel rewinds the WRAM
-// allocator to its mark and reuses that space for the per-tasklet MRAM read
-// buffers. The allocator throws if a configuration would not fit real WRAM.
+// kNaiveRaw is the paper's PIM-naive baseline and keeps the per-pair LUT:
+//   S0  float LUT |r_s - y_sj|^2 from the int8 codebook (tasklets split the
+//       m*256 entries in 8-entry blocks), S1 scale reduction (tasklet 0),
+//   S2  quantization to u16, then S4/S5 as above with the key being the
+//       float distance's bit pattern (non-negative floats order like their
+//       bits), over raw u8 codes with per-element address arithmetic.
+// WRAM reuse (paper 4.2.2): the codebook is kNaiveRaw's *last* fixed
+// allocation; before S4 the kernel rewinds the WRAM allocator to its mark
+// and reuses that space for the per-tasklet MRAM read buffers. The UpANNS
+// modes hold only the u16 table and the combo cache, so their read buffers
+// follow the table directly. The allocator throws if a configuration would
+// not fit real WRAM.
 //
 // The kernel runs in three modes:
 //   kNaiveRaw     - PIM-naive: raw u8 PQ codes, per-element address
-//                   arithmetic, unpruned top-k merge, codebook S0.
+//                   arithmetic, unpruned top-k merge, codebook S0-S2.
 //   kDirectTokens - UpANNS without CAE: u16 direct-address tokens.
 //   kCae          - full UpANNS: CAE token streams + partial-sum cache.
 #pragma once
@@ -52,6 +54,10 @@ enum class KernelMode { kNaiveRaw, kDirectTokens, kCae };
 /// a token-offset entry in the chunk index so tasklets can start mid-stream.
 inline constexpr std::size_t kChunkRecords = 16;
 
+/// u16 elements of a record's header in the UpANNS token stream: the token
+/// count, then the record's norm term n_r as a u32 (low half first).
+inline constexpr std::size_t kRecordHeaderElems = 3;
+
 /// Id sentinel marking a tombstoned slot in a cluster's MRAM id array. The
 /// distance scan drops matching records with a branchless select; real ids
 /// never collide with it (the result packer already reserves 0xFFFFFFFF for
@@ -68,7 +74,7 @@ struct DpuClusterData {
   std::uint32_t n_tombstones = 0; ///< sentinel slots in the id array
   std::size_t ids_off = 0;        ///< u32 x n_records
   std::size_t ids_cap = 0;        ///< bytes reserved at ids_off
-  std::size_t stream_off = 0;     ///< u16 tokens (or u8 codes in kNaiveRaw)
+  std::size_t stream_off = 0;     ///< u16 records (or u8 codes in kNaiveRaw)
   std::size_t stream_len = 0;     ///< element count (u16s, or bytes if raw)
   std::size_t stream_cap = 0;     ///< bytes reserved at stream_off
   std::size_t chunk_index_off = 0;///< u32 element offsets, one per chunk
@@ -77,9 +83,7 @@ struct DpuClusterData {
   std::size_t combos_off = 0;     ///< packed CaeCombo (4B each)
   std::uint32_t n_combos = 0;
   std::size_t combos_cap = 0;     ///< bytes reserved at combos_off
-  std::size_t centroid_off = 0;   ///< float x dim
-  std::size_t table_off = 0;      ///< cluster table C, float x m x 256
-                                  ///< (UpANNS modes; unused in kNaiveRaw)
+  std::size_t centroid_off = 0;   ///< float x dim (kNaiveRaw only)
 };
 
 /// Static per-DPU layout shared by all launches.
@@ -89,15 +93,15 @@ struct DpuStaticLayout {
   std::size_t dsub = 0;
   std::size_t codebook_off = 0;   ///< int8, m x 256 x dsub (kNaiveRaw only)
   std::size_t cb_scale_off = 0;   ///< float x m, dequant scales (kNaiveRaw)
+  double unit = 1.0;              ///< key unit U (UpANNS modes, KeyCodec)
   std::vector<DpuClusterData> clusters;  ///< resident replicas (slot order)
 };
 
-/// The dequantized int8 PQ codebook y_sj = scale_s * int8_sj that the
-/// precomputed S0 decomposes against (DESIGN.md §6) — the exact floats the
-/// kNaiveRaw S0 forms per dimension. Stored transposed as [s][d][j] so the
-/// table builders run 256 independent chains per subspace; every entry
-/// keeps a fixed per-dimension operation order, so tables are identical
-/// whatever the host's vector width.
+/// The dequantized int8 PQ codebook y_sj = scale_s * int8_sj — the exact
+/// floats the kNaiveRaw S0 forms per dimension. Stored transposed as
+/// [s][d][j] so the table builders run 256 independent chains per subspace;
+/// every entry keeps a fixed per-dimension operation order, so tables are
+/// identical whatever the host's vector width.
 class LutCodebook {
  public:
   LutCodebook() = default;
@@ -105,6 +109,8 @@ class LutCodebook {
   LutCodebook(const std::int8_t* codes, const float* scales, std::size_t m,
               std::size_t dsub);
 
+  std::size_t m() const { return m_; }
+  std::size_t dsub() const { return dsub_; }
   /// Entries of one table: m * 256.
   std::size_t table_size() const { return m_ * 256; }
 
@@ -119,15 +125,80 @@ class LutCodebook {
   std::vector<float> yt_;  ///< m x dsub x 256
 };
 
-/// Floats of one pushed query row: the query vector, then (UpANNS modes)
-/// its query table (LutCodebook::query_table).
-inline std::size_t query_row_floats(const DpuStaticLayout& layout,
-                                    KernelMode mode) {
-  return layout.dim + (mode == KernelMode::kNaiveRaw ? 0 : layout.m * 256);
+/// The fixed-point distance keys of the UpANNS modes (DESIGN.md §6). With
+/// mu the mean coarse centroid,
+///   |q - c - y|^2 = |q - c|^2 + sum_s B_s[code_s] + N_r,
+/// B = query_table(q - mu) depending only on the query and
+/// N_r = sum_s C'_s[code_s], C' = cluster_table(c - mu), only on the record.
+/// Each term is rounded to one unit U, so a DPU scores a record as
+///   key = K_pair + sum_s table[token] + n_r,   distance ~ U * key.
+/// mu and U derive from the frozen quantizers alone (U = max_s
+/// 4 R_s Y_s / 65535 with R_s the largest |c_s + y_sj - mu_s| over every
+/// centroid and codeword, Y_s the largest |y_sj|), so list mutations never
+/// move them and a patched image stays byte-equal to a fresh load.
+class KeyCodec {
+ public:
+  KeyCodec() = default;
+  /// `centroids` is n_clusters x dim, row-major.
+  KeyCodec(LutCodebook codebook, const float* centroids,
+           std::size_t n_clusters, std::size_t dim);
+
+  double unit() const { return unit_; }
+  std::size_t table_size() const { return codebook_.table_size(); }
+
+  /// One query's pushed table: out[s*256 + j] = round((B_s[j] -
+  /// min_j B_s[j]) / U), saturated at 65535. Returns the offset
+  /// o_q = sum_s min_j B_s[j] the host keeps; `saturated` counts the
+  /// entries that hit the cap. Thread-safe.
+  double query_table(const float* query, std::uint16_t* out,
+                     std::size_t& saturated) const;
+
+  /// Norm terms of `n` records of cluster `c` (codes n x m), appended to
+  /// `out`: n_r = round(N_r / U) - nu_c, where nu_c = round(min N / U) is
+  /// the cluster's norm offset, so every n_r is non-negative.
+  void record_norms(std::size_t c, const float* centroid,
+                    const std::uint8_t* codes, std::size_t n,
+                    std::vector<std::uint32_t>& out) const;
+
+  /// The pair term a push carries with an assignment: round((|q - c|^2 +
+  /// o_q) / U) + nu_c, clamped to +-2^30. Folding o_q here leaves S5 one
+  /// multiply.
+  std::int32_t pair_key(float coarse_dist, double query_offset,
+                        std::size_t c) const;
+
+ private:
+  /// C' = cluster_table(centroid - mu) into `table`, `scratch` dim floats.
+  void centred_cluster_table(const float* centroid, float* scratch,
+                             float* table) const;
+  std::int64_t to_units(double v) const;
+
+  LutCodebook codebook_;
+  std::size_t dim_ = 0;
+  std::vector<float> centre_;             ///< mu, dim floats
+  std::vector<std::int32_t> norm_offsets_;  ///< nu_c per cluster
+  double unit_ = 1.0;
+};
+
+/// The UpANNS record stream of an encoded cluster: every [len][tokens]
+/// record of `enc` with its norm term spliced into the header
+/// (kRecordHeaderElems u16s), plus the chunk index (element offset of every
+/// kChunkRecords-th record). `norms` holds one entry per record.
+void build_record_stream(const CaeClusterEncoding& enc,
+                         const std::vector<std::uint32_t>& norms,
+                         std::vector<std::uint16_t>& stream,
+                         std::vector<std::uint32_t>& chunk_index);
+
+/// Bytes of one pushed query row: the u16 query table in UpANNS modes, the
+/// float query vector in kNaiveRaw.
+inline std::size_t query_row_bytes(const DpuStaticLayout& layout,
+                                   KernelMode mode) {
+  return mode == KernelMode::kNaiveRaw
+             ? layout.dim * sizeof(float)
+             : layout.m * 256 * sizeof(std::uint16_t);
 }
 
 /// Per-launch inputs, already pushed to the DPU by the host. Local query i's
-/// row (query_row_floats) is row i of the DPU's host-mirrored batch region:
+/// row (query_row_bytes) is row i of the DPU's host-mirrored batch region:
 /// every DPU a query is pushed to holds an identical copy, so the simulator
 /// keeps one per batch row on the host (Dpu::mram_mirror).
 struct DpuLaunchInput {
@@ -137,10 +208,12 @@ struct DpuLaunchInput {
   std::size_t results_off = 0;    ///< k x (u32 dist, u32 id) per query
   std::size_t k = 10;
   std::size_t mram_read_bytes = 0;///< DMA granularity for the stream (fig 17)
-  /// Assignments in query-grouped order: (local query idx, cluster slot).
+  /// Assignments in query-grouped order: (local query idx, cluster slot),
+  /// plus the pair's K_pair in UpANNS modes (KeyCodec::pair_key).
   struct Item {
     std::uint32_t query_local;
     std::uint32_t cluster_slot;
+    std::int32_t pair_key = 0;
   };
   std::vector<Item> items;
 };
@@ -151,6 +224,20 @@ struct KernelStageCycles {
   std::uint64_t distance = 0;     ///< S4
   std::uint64_t topk = 0;         ///< S5
 };
+
+/// A scanned record's candidate on the DPU: an integer key (UpANNS modes)
+/// or a non-negative float distance's bit pattern (kNaiveRaw), which order
+/// the same way, tie-broken on id.
+struct KeyedNeighbor {
+  std::int32_t key;
+  std::uint32_t id;
+
+  friend bool operator<(const KeyedNeighbor& a, const KeyedNeighbor& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.id < b.id;
+  }
+};
+using KeyHeap = common::BasicBoundedMaxHeap<KeyedNeighbor>;
 
 /// Monotonic count of hot-path buffer growth events (scratch-arena capacity
 /// growth, kernel/heap construction). After a warm-up batch the serving hot
@@ -169,18 +256,17 @@ void note_hot_path_allocation();
 /// capacity growth bumps hot_path_allocations(). Tasklets of one DPU run
 /// sequentially in the simulator, so one arena per kernel suffices.
 struct KernelScratch {
-  std::vector<float> lut_f32;
+  std::vector<float> lut_f32;          ///< kNaiveRaw S0 output
   std::vector<float> tasklet_max;      ///< per-tasklet LUT max (S1 input)
-  std::vector<std::uint16_t> lut_u16;
-  std::vector<std::uint32_t> combo_sums;
-  /// Unified token table: widened LUT entries followed by combo sums, so the
-  /// distance scan resolves any token with one unconditional load — the
+  std::vector<std::uint16_t> lut_u16;  ///< kNaiveRaw S2 output
+  /// Unified token table: the widened u16 table followed by combo sums, so
+  /// the distance scan resolves any token with one unconditional load — the
   /// functional twin of the DPU's direct-address tokens (no branch on real
   /// hardware either).
   std::vector<std::uint32_t> token_table;
-  std::vector<float> residual;          ///< kNaiveRaw S0
-  std::vector<common::Neighbor> sorted;  ///< per-tasklet sorted extract (S5)
-  std::vector<common::Neighbor> result;  ///< DPU-global sorted top-k (S5)
+  std::vector<float> residual;           ///< kNaiveRaw S0
+  std::vector<KeyedNeighbor> sorted;     ///< per-tasklet sorted extract (S5)
+  std::vector<KeyedNeighbor> result;     ///< DPU-global sorted top-k (S5)
   std::vector<std::uint32_t> packed;     ///< MRAM result image (S5)
 
   /// assign() that records capacity growth in hot_path_allocations().
@@ -217,22 +303,23 @@ class QueryKernel final : public pim::DpuKernel {
   std::uint64_t scanned_elements() const { return scanned_elements_; }
   std::uint64_t scanned_records() const { return scanned_records_; }
 
-  /// WRAM mirrors and LUT scale as the last launch left them (tests compare
-  /// the S0-S2 products against a reference).
+  /// WRAM mirrors, LUT scale and the last query's sorted keys as the last
+  /// launch left them (tests compare them against references).
   const KernelScratch& scratch() const { return scratch_; }
   float lut_scale() const { return lut_scale_; }
 
  private:
   enum class Step : std::uint8_t {
-    kLutBuild, kLutReduce, kLutQuantize, kComboSums, kDistance, kMerge
+    kQueryTable, kLutBuild, kLutReduce, kLutQuantize, kComboSums, kDistance,
+    kMerge
   };
   struct Phase {
     Step step;
-    std::uint32_t item;   ///< assignment index (kMerge: first item of query)
+    std::uint32_t item;   ///< assignment index (kMerge: last item of query)
   };
 
+  void phase_query_table(const Phase& p, pim::TaskletCtx& ctx);
   void phase_lut_build(const Phase& p, pim::TaskletCtx& ctx);
-  void phase_lut_build_codebook(const Phase& p, pim::TaskletCtx& ctx);
   void phase_lut_reduce(pim::TaskletCtx& ctx);
   void phase_lut_quantize(pim::TaskletCtx& ctx);
   void phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx);
@@ -251,14 +338,7 @@ class QueryKernel final : public pim::DpuKernel {
 
   std::vector<Phase> program_;
 
-  // --- WRAM-resident state (offsets into the DPU's WRAM arena). The float
-  // and u16 LUTs share one region (quantization compacts in place).
-  std::size_t wram_lut_off = 0;
-  std::size_t wram_combo_off = 0;
-  std::size_t wram_query_off = 0;     ///< residual, float x dim
-  std::size_t wram_codebook_mark = 0; ///< rewind point for stage reuse
-  std::size_t wram_codebook_off = 0;  ///< codebook / B-C staging region
-  std::size_t stage_entries_ = 0;     ///< floats per B or C staging buffer
+  // --- WRAM-resident state (offsets into the DPU's WRAM arena).
   std::size_t query_row_bytes_ = 0;   ///< one mirrored query row
   std::size_t per_tasklet_buf_bytes_ = 0;
 
@@ -267,8 +347,8 @@ class QueryKernel final : public pim::DpuKernel {
   // setup(). All of it keeps capacity across launches.
   KernelScratch scratch_;
   float lut_scale_ = 1.f;
-  std::vector<common::BoundedMaxHeap> local_heaps_;
-  common::BoundedMaxHeap global_heap_;
+  std::vector<KeyHeap> local_heaps_;
+  KeyHeap global_heap_;
 
   std::uint64_t merge_insertions_ = 0;
   std::uint64_t merge_pruned_ = 0;

@@ -2,9 +2,9 @@
 //
 // Offline (build, engine_build.cpp): collect cluster stats from a query
 // history, encode every cluster (Opt3), place replicas across DPUs (Opt1),
-// and load MRAM images (centroids, cluster tables, id arrays, token streams,
-// combo tables; the PIM-naive baseline loads the codebook instead of
-// cluster tables).
+// and load MRAM images (id arrays, record streams whose headers carry each
+// record's norm term, chunk indexes, combo tables; the PIM-naive baseline
+// loads the codebook, centroids and raw codes instead).
 //
 // Online (search, pipeline.cpp): the query path is a sequence of named stage
 // objects — cluster filter, Alg-2 scheduling, uniform-size transfer, kernel
@@ -237,10 +237,11 @@ class UpAnnsEngine {
   /// patched replica is byte-identical to a freshly loaded one.
   struct ClusterImage {
     std::vector<std::uint32_t> ids;     ///< tombstoned slots already sentineled
-    std::vector<std::uint8_t> stream;   ///< u16 tokens or raw codes, as bytes
+    std::vector<std::uint8_t> stream;   ///< u16 records or raw codes, as bytes
     std::size_t stream_elems = 0;       ///< element count (cd.stream_len)
     std::vector<std::uint32_t> chunk_index;
     std::vector<std::uint8_t> combos;   ///< packed 4B combo defs
+    std::vector<std::uint16_t> records; ///< build_record_stream scratch
     std::uint32_t n_records = 0;
     std::uint32_t n_tombstones = 0;
   };
@@ -249,19 +250,19 @@ class UpAnnsEngine {
   /// them into simulated transfer seconds, the constructor discards them).
   std::vector<std::size_t> load_dpus(const ivf::ClusterStats& stats);
   void encode_cluster(std::size_t c);
-  /// Bring encodings_[c] up to date with the list: full re-encode after a
-  /// compaction, cheap direct-token append after pure inserts.
+  /// Bring encodings_[c] (and norms_[c]) up to date with the list: full
+  /// re-encode after a compaction, cheap direct-token append after pure
+  /// inserts.
   void refresh_encoding(std::size_t c);
   void build_cluster_image(std::uint32_t c, ClusterImage& out) const;
   /// Write one replica of cluster c into `dpu` — list regions with the
-  /// mram_list_slack policy, the centroid and, in UpANNS modes, the cluster
-  /// table — and return its descriptor. Regions come from mram_alloc_reuse,
-  /// so a full load on a fresh DPU lays images out exactly like the bump
-  /// allocator and an adapt add fills released space first. `bytes`
-  /// accumulates what was pushed; `img` and `table` are caller scratch.
+  /// mram_list_slack policy and, in kNaiveRaw, the centroid — and return
+  /// its descriptor. Regions come from mram_alloc_reuse, so a full load on a
+  /// fresh DPU lays images out exactly like the bump allocator and an adapt
+  /// add fills released space first. `bytes` accumulates what was pushed;
+  /// `img` is caller scratch.
   DpuClusterData load_replica(pim::Dpu& dpu, std::uint32_t c,
-                              ClusterImage& img, std::vector<float>& table,
-                              std::uint64_t& bytes) const;
+                              ClusterImage& img, std::uint64_t& bytes) const;
   /// Return a replica's regions to `dpu`'s MRAM free list.
   void release_replica(pim::Dpu& dpu, const DpuClusterData& cd) const;
   std::size_t slack_bytes(std::size_t bytes) const;
@@ -278,15 +279,16 @@ class UpAnnsEngine {
   std::unique_ptr<pim::PimSystem> system_;
   std::vector<PerDpu> per_dpu_;
 
-  // Shared quantized codebook: the kNaiveRaw MRAM image (int8 + scales) and
-  // its dequantized form, from which the host builds the precomputed query
-  // and cluster tables of the UpANNS modes.
+  // Shared quantized codebook: the kNaiveRaw MRAM image (int8 + scales),
+  // and in the UpANNS modes the key codec built from its dequantized form.
   std::vector<std::int8_t> codebook_q_;
   std::vector<float> codebook_scales_;
-  LutCodebook lut_codebook_;
+  KeyCodec key_codec_;
 
-  // Cluster encodings, shared across replicas.
+  // Cluster encodings and the records' norm terms (UpANNS modes), shared
+  // across replicas.
   std::vector<CaeClusterEncoding> encodings_;
+  std::vector<std::vector<std::uint32_t>> norms_;
   double build_length_reduction_ = 0;
 
   // Streaming-update bookkeeping: per-cluster list state the MRAM images /

@@ -60,7 +60,6 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
         dpu.mram_rewind(pd.static_mark);
 
         ClusterImage img;
-        std::vector<float> table;
         std::uint64_t bytes = 0;
         for (const CopyDelta& op : ops) {
           if (!op.add) {
@@ -91,7 +90,7 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
           pd.cluster_slot[op.cluster] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
           pd.layout.clusters.push_back(
-              load_replica(dpu, op.cluster, img, table, bytes));
+              load_replica(dpu, op.cluster, img, bytes));
           ++dpu_added[d];
         }
         pd.static_mark = dpu.mram_mark();

@@ -53,11 +53,15 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
           r < 0.f ? -common::round_nonneg(-r) : common::round_nonneg(r));
     }
   }
-  lut_codebook_ = LutCodebook(codebook_q_.data(), codebook_scales_.data(), m,
-                              dsub);
+  if (mode_ != KernelMode::kNaiveRaw) {
+    key_codec_ = KeyCodec(
+        LutCodebook(codebook_q_.data(), codebook_scales_.data(), m, dsub),
+        index_.centroids().data(), index_.n_clusters(), index_.dim());
+  }
 
   // --- Encode every cluster once (replicas share the encoding).
   encodings_.resize(index_.n_clusters());
+  norms_.resize(index_.n_clusters());
   double weighted_reduction = 0;
   std::size_t total_records = 0;
   common::ThreadPool::global().parallel_for(
@@ -140,10 +144,13 @@ void UpAnnsEngine::encode_cluster(std::size_t c) {
   const std::size_t m = index_.pq_m();
   switch (mode_) {
     case KernelMode::kCae:
-      encodings_[c] = cae_encode_cluster(list, m, options_.cae);
-      break;
     case KernelMode::kDirectTokens:
-      encodings_[c] = direct_encode_cluster(list, m);
+      encodings_[c] = mode_ == KernelMode::kCae
+                          ? cae_encode_cluster(list, m, options_.cae)
+                          : direct_encode_cluster(list, m);
+      norms_[c].clear();
+      key_codec_.record_norms(c, index_.centroid(c), list.codes.data(),
+                              list.size(), norms_[c]);
       break;
     case KernelMode::kNaiveRaw:
       // Raw mode streams the original codes; keep only bookkeeping.
@@ -172,6 +179,8 @@ void UpAnnsEngine::refresh_encoding(std::size_t c) {
     enc.n_records = list.size();
     return;
   }
+  key_codec_.record_norms(c, index_.centroid(c), list.code(enc.n_records, m),
+                          list.size() - enc.n_records, norms_[c]);
   // Append direct-address tokens for the new records. Mixing direct tokens
   // into a CAE stream is exact: a distance is an order-independent u32 sum
   // of LUT entries, so an appended record scores bit-identically to the
@@ -216,20 +225,12 @@ void UpAnnsEngine::build_cluster_image(std::uint32_t c,
     out.stream_elems = list.codes.size();
     return;
   }
-  out.stream.resize(enc.tokens.size() * sizeof(std::uint16_t));
-  if (!enc.tokens.empty()) {
-    std::memcpy(out.stream.data(), enc.tokens.data(), out.stream.size());
+  build_record_stream(enc, norms_[c], out.records, out.chunk_index);
+  out.stream.resize(out.records.size() * sizeof(std::uint16_t));
+  if (!out.records.empty()) {
+    std::memcpy(out.stream.data(), out.records.data(), out.stream.size());
   }
-  out.stream_elems = enc.tokens.size();
-
-  // Chunk index: element offset of every kChunkRecords-th record.
-  std::size_t off = 0;
-  for (std::size_t r = 0; r < enc.n_records; ++r) {
-    if (r % kChunkRecords == 0) {
-      out.chunk_index.push_back(static_cast<std::uint32_t>(off));
-    }
-    off += 1 + enc.tokens[off];
-  }
+  out.stream_elems = out.records.size();
 
   if (!enc.combos.empty()) {
     out.combos.resize(enc.combos.size() * 4);
@@ -254,7 +255,6 @@ void UpAnnsEngine::snapshot_loaded_state() {
 
 DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
                                           ClusterImage& img,
-                                          std::vector<float>& table,
                                           std::uint64_t& bytes) const {
   // List regions are over-allocated by mram_list_slack so streaming inserts
   // patch in place. The slack is pure address-space: DMA costs are charged
@@ -298,21 +298,13 @@ DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
     bytes += img.combos.size();
   }
 
-  const std::size_t centroid_bytes = index_.dim() * sizeof(float);
-  cd.centroid_off = dpu.mram_alloc_reuse(centroid_bytes, "centroid");
-  dpu.host_write(cd.centroid_off, index_.centroid(c), centroid_bytes);
-  bytes += centroid_bytes;
-
-  // The cluster table depends only on the frozen centroid and codebook, so
-  // every replica of c — loaded, adapted or relocated — is byte-identical
-  // and mutation patches never touch it.
-  if (mode_ != KernelMode::kNaiveRaw) {
-    table.resize(lut_codebook_.table_size());
-    lut_codebook_.cluster_table(index_.centroid(c), table.data());
-    const std::size_t table_bytes = table.size() * sizeof(float);
-    cd.table_off = dpu.mram_alloc_reuse(table_bytes, "cluster-table");
-    dpu.host_write(cd.table_off, table.data(), table_bytes);
-    bytes += table_bytes;
+  // Only the PIM-naive S0 forms residuals on the DPU; in the UpANNS modes
+  // the centroid enters through K_pair and the records' norm terms.
+  if (mode_ == KernelMode::kNaiveRaw) {
+    const std::size_t centroid_bytes = index_.dim() * sizeof(float);
+    cd.centroid_off = dpu.mram_alloc_reuse(centroid_bytes, "centroid");
+    dpu.host_write(cd.centroid_off, index_.centroid(c), centroid_bytes);
+    bytes += centroid_bytes;
   }
   return cd;
 }
@@ -323,9 +315,8 @@ void UpAnnsEngine::release_replica(pim::Dpu& dpu,
   if (cd.stream_cap > 0) dpu.mram_release(cd.stream_off, cd.stream_cap);
   if (cd.chunk_cap > 0) dpu.mram_release(cd.chunk_index_off, cd.chunk_cap);
   if (cd.combos_cap > 0) dpu.mram_release(cd.combos_off, cd.combos_cap);
-  dpu.mram_release(cd.centroid_off, index_.dim() * sizeof(float));
-  if (mode_ != KernelMode::kNaiveRaw) {
-    dpu.mram_release(cd.table_off, lut_codebook_.table_size() * sizeof(float));
+  if (mode_ == KernelMode::kNaiveRaw) {
+    dpu.mram_release(cd.centroid_off, index_.dim() * sizeof(float));
   }
 }
 
@@ -345,9 +336,10 @@ std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
         pd.layout.dim = index_.dim();
         pd.layout.m = index_.pq_m();
         pd.layout.dsub = index_.pq().dsub();
+        pd.layout.unit = key_codec_.unit();
 
         // Only the PIM-naive kernel builds LUTs from the codebook; UpANNS
-        // images carry per-replica cluster tables instead.
+        // kernels load each query's host-quantized table instead.
         if (mode_ == KernelMode::kNaiveRaw) {
           pd.layout.codebook_off =
               dpu.mram_alloc(codebook_q_.size(), "codebook");
@@ -363,12 +355,10 @@ std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
         }
 
         ClusterImage img;
-        std::vector<float> table;
         for (std::uint32_t c : placement_.dpu_clusters[d]) {
           pd.cluster_slot[c] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(
-              load_replica(dpu, c, img, table, bytes));
+          pd.layout.clusters.push_back(load_replica(dpu, c, img, bytes));
         }
         pd.static_mark = dpu.mram_mark();
         dpu_bytes[d] = static_cast<std::size_t>(bytes);

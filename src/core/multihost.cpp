@@ -175,14 +175,15 @@ MultiHostReport MultiHostUpAnns::search_with_probes(
   report.coord_filter_seconds =
       cluster_filter_seconds(index_, nq, options_.per_host.k, mode);
 
-  // Broadcast the batch: the coordinator NIC sends every query vector (and
-  // its precomputed query table) to each active host, so the wire time
-  // scales with the fan-out (hosts that own no clusters are skipped — there
-  // is nothing for them to scan).
+  // Broadcast the batch: the coordinator NIC sends every query vector (and,
+  // in UpANNS modes, its u16 table and f32 offset o_q; hosts key their pairs
+  // from the vector) to each active host, so the wire time scales with the
+  // fan-out (hosts that own no clusters are skipped — there is nothing for
+  // them to scan).
   const double table_bytes =
       mode == KernelMode::kNaiveRaw
           ? 0.0
-          : static_cast<double>(index_.pq_m()) * 256.0 * 4.0;
+          : static_cast<double>(index_.pq_m()) * 256.0 * 2.0 + 4.0;
   const double per_host_query_bytes =
       static_cast<double>(nq) *
       (static_cast<double>(queries.dim) * 4.0 + table_bytes);

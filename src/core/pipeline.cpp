@@ -16,6 +16,7 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "pim/transfer.hpp"
+#include "quant/kmeans.hpp"
 
 namespace upanns::core {
 
@@ -34,10 +35,9 @@ double cluster_filter_seconds(const ivf::IvfIndex& index, std::size_t nq,
   return seconds;
 }
 
-// --- Host stage (a): cluster filtering, plus the precomputed query table
-// B_sj = -2<q_s, y_sj> of every query in UpANNS modes (DESIGN.md §6),
-// charged on the CPU roofline. Rows are independent, so the parallel build
-// is deterministic.
+// --- Host stage (a): cluster filtering, plus in UpANNS modes every query's
+// fixed-point table (DESIGN.md §6), charged on the CPU roofline. Rows are
+// independent, so the parallel build is deterministic.
 double ClusterFilterStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const data::Dataset& queries = *ctx.queries;
   if (ctx.probes == nullptr) {
@@ -46,17 +46,24 @@ double ClusterFilterStage::run(QueryPipeline& pl, BatchContext& ctx) {
     ctx.probes = &ctx.owned_probes;
   }
   if (pl.mode() != KernelMode::kNaiveRaw) {
-    const std::size_t dim = queries.dim;
-    const std::size_t row = dim + pl.lut_codebook().table_size();
-    ctx.query_payloads.resize(queries.n * row);
+    const KeyCodec& codec = pl.key_codec();
+    const std::size_t row = codec.table_size();
+    ctx.query_tables.resize(queries.n * row);
+    ctx.query_offsets.resize(queries.n);
+    std::vector<std::size_t> saturated(queries.n, 0);
     common::ThreadPool::global().parallel_for(
         0, queries.n,
         [&](std::size_t q) {
-          float* out = ctx.query_payloads.data() + q * row;
-          std::copy(queries.row(q), queries.row(q) + dim, out);
-          pl.lut_codebook().query_table(queries.row(q), out + dim);
+          ctx.query_offsets[q] = codec.query_table(
+              queries.row(q), ctx.query_tables.data() + q * row,
+              saturated[q]);
         },
         8);
+    if (pl.sink().enabled()) {
+      std::size_t total = 0;
+      for (std::size_t n : saturated) total += n;
+      pl.sink().count("pim.table.saturated_entries", total);
+    }
   }
   const double seconds = cluster_filter_seconds(
       pl.index(), queries.n, pl.options().k, pl.mode());
@@ -78,20 +85,24 @@ double ScheduleStage::run(QueryPipeline& pl, BatchContext& ctx) {
 }
 
 // --- Per-DPU launch inputs (the local query map, one pushed row per
-// unique query and the assignment lists), then the push transfer: UpANNS
-// pads per-DPU buffers to a uniform size so the transfer runs concurrently
-// (Sec 2.2); PIM-naive pays the serialized path.
+// unique query and the assignment lists with their pair keys), then the
+// push transfer: UpANNS pads per-DPU buffers to a uniform size so the
+// transfer runs concurrently (Sec 2.2); PIM-naive pays the serialized path.
 double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const data::Dataset& queries = *ctx.queries;
   const std::size_t nq = queries.n;
   const std::size_t k = pl.options().k;
   const std::size_t ndpu = pl.options().n_dpus;
+  const bool naive = pl.mode() == KernelMode::kNaiveRaw;
   // Every DPU's layout has the same shape; the row format follows the mode.
   const std::size_t row_bytes =
-      query_row_floats(pl.per_dpu(0).layout, pl.mode()) * sizeof(float);
-  const float* payloads = pl.mode() == KernelMode::kNaiveRaw
-                              ? queries.values.data()
-                              : ctx.query_payloads.data();
+      query_row_bytes(pl.per_dpu(0).layout, pl.mode());
+  const void* payloads = naive
+                             ? static_cast<const void*>(queries.values.data())
+                             : static_cast<const void*>(ctx.query_tables.data());
+  // An item is (local query, cluster slot) packed in 4 B, plus its i32
+  // K_pair in UpANNS modes.
+  const std::size_t item_bytes = naive ? 4 : 8;
 
   ctx.inputs.assign(ndpu, DpuLaunchInput{});
   ctx.push_bytes.assign(ndpu, 0);
@@ -99,9 +110,9 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
       pl.options().mram_read_vectors == 0
           ? 0
           : pl.options().mram_read_vectors *
-                (pl.mode() == KernelMode::kNaiveRaw
-                     ? pl.index().pq_m()
-                     : (pl.index().pq_m() + 1) * sizeof(std::uint16_t));
+                (naive ? pl.index().pq_m()
+                       : (pl.index().pq_m() + kRecordHeaderElems) *
+                             sizeof(std::uint16_t));
 
   common::ThreadPool::global().parallel_for(
       0, ndpu,
@@ -119,10 +130,19 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
             local_of[a.query] = static_cast<std::int32_t>(rows.size());
             rows.push_back(a.query);
           }
-          in.items.push_back(
-              {static_cast<std::uint32_t>(local_of[a.query]),
-               static_cast<std::uint32_t>(
-                   pl.per_dpu(d).cluster_slot[a.cluster])});
+          DpuLaunchInput::Item item{
+              static_cast<std::uint32_t>(local_of[a.query]),
+              static_cast<std::uint32_t>(
+                  pl.per_dpu(d).cluster_slot[a.cluster])};
+          if (!naive) {
+            // The coarse distance with the filter's own routine, so probe
+            // lists supplied from outside key identically.
+            item.pair_key = pl.key_codec().pair_key(
+                quant::l2_sq(queries.row(a.query),
+                             pl.index().centroid(a.cluster), queries.dim),
+                ctx.query_offsets[a.query], a.cluster);
+          }
+          in.items.push_back(item);
         }
 
         // Batch scratch (rewound every batch): the query rows, charged per
@@ -134,7 +154,8 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
                         "batch-queries");
         in.results_off = dpu.mram_alloc(rows.size() * k * 8, "batch-results");
 
-        ctx.push_bytes[d] = rows.size() * row_bytes + in.items.size() * 4;
+        ctx.push_bytes[d] =
+            rows.size() * row_bytes + in.items.size() * item_bytes;
       },
       1);
 
@@ -198,6 +219,15 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
   if (pl.sink().enabled()) {
     pl.sink().set("pim.balance_ratio", px.balance_ratio);
     pl.sink().set("pim.schedule_balance", px.schedule_balance);
+    // How far the schedule's workload model sits from the busy time the
+    // cost model charged: 1 when Algorithm 2 balanced what the DPUs ran.
+    if (px.schedule_balance > 0) {
+      pl.sink()
+          .registry()
+          ->histogram("schedule.model_error",
+                      {1.0, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0})
+          .observe(px.balance_ratio / px.schedule_balance);
+    }
   }
 
   // Per-DPU stage attribution; the slowest DPU sets the launch-critical

@@ -2,8 +2,8 @@
 //
 // QueryPipeline runs one batch through six individually timed stages:
 //
-//   cluster-filter  (host)    coarse filtering + per-query LUT tables on
-//                             the CPU roofline
+//   cluster-filter  (host)    coarse filtering + per-query fixed-point
+//                             tables on the CPU roofline
 //   alg2-schedule   (host)    Algorithm 2 replica selection / balancing
 //   uniform-push    (device)  launch-input build + uniform-size MRAM push
 //   kernel-launch   (device)  DPU kernels, max-over-DPU critical path
@@ -46,11 +46,13 @@ struct BatchContext {
   const std::vector<std::vector<std::uint32_t>>* probes = nullptr;
   std::vector<std::vector<std::uint32_t>> owned_probes;  ///< when filtering here
 
-  /// Pushed query rows in UpANNS modes, one per batch row: the query vector
-  /// followed by its precomputed query table (query_row_floats), built once
-  /// per query by the filter stage and host-mirrored into every DPU the
-  /// query is pushed to. PIM-naive rows are the query vectors themselves.
-  std::vector<float> query_payloads;
+  /// Pushed query rows in UpANNS modes, one per batch row: the query's u16
+  /// table (KeyCodec::query_table), built once per query by the filter
+  /// stage and host-mirrored into every DPU the query is pushed to.
+  /// PIM-naive rows are the query vectors themselves.
+  std::vector<std::uint16_t> query_tables;
+  /// Per batch row, the table offset o_q the host keeps (UpANNS modes).
+  std::vector<double> query_offsets;
 
   Schedule sched;
   std::vector<DpuLaunchInput> inputs;
@@ -145,7 +147,7 @@ class QueryPipeline {
   const Placement& placement() const { return engine_.placement_; }
   pim::PimSystem& system() { return *engine_.system_; }
   KernelMode mode() const { return engine_.mode_; }
-  const LutCodebook& lut_codebook() const { return engine_.lut_codebook_; }
+  const KeyCodec& key_codec() const { return engine_.key_codec_; }
   UpAnnsEngine::PerDpu& per_dpu(std::size_t d) { return engine_.per_dpu_[d]; }
   /// Empty (inlined no-op) when the engine has no registry attached.
   obs::MetricsSink sink() const { return engine_.metrics_; }
@@ -222,8 +224,8 @@ struct BatchPipelineReport {
 };
 
 /// Simulated host seconds of ClusterFilterStage for an nq-query batch:
-/// coarse filtering plus, in UpANNS modes, one precomputed query table per
-/// query, both on the CPU roofline. The multi-host coordinator charges its
+/// coarse filtering plus, in UpANNS modes, one fixed-point query table per
+/// query (KeyCodec::query_table), both on the CPU roofline. The multi-host coordinator charges its
 /// one shared pass with the same function.
 double cluster_filter_seconds(const ivf::IvfIndex& index, std::size_t nq,
                               std::size_t k, KernelMode mode);

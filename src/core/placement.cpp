@@ -8,13 +8,15 @@
 
 #include "common/hw_specs.hpp"
 #include "common/rng.hpp"
+#include "core/dpu_kernel.hpp"
 #include "quant/kmeans.hpp"
 
 namespace upanns::core {
 
 std::size_t mram_bytes_per_vector(std::size_t pq_m) {
-  // id (4B) + u16 token stream upper bound (2 * (m + 1)) + chunk-index share.
-  return 4 + 2 * (pq_m + 1) + 2;
+  // id (4B) + u16 record upper bound (header + m direct tokens) +
+  // chunk-index share.
+  return 4 + 2 * (pq_m + kRecordHeaderElems) + 2;
 }
 
 std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
@@ -52,9 +54,8 @@ namespace {
 std::size_t derive_max_dpu_vectors(const ivf::IvfIndex& index,
                                    const PlacementOptions& opts) {
   if (opts.max_dpu_vectors > 0) return opts.max_dpu_vectors;
-  // Leave room for per-replica centroids and cluster tables (16 KB at
-  // m = 16), the PIM-naive codebook and the batch scratch; budget 90% of
-  // MRAM for inverted lists.
+  // Leave room for the PIM-naive codebook and centroids and for the batch
+  // scratch; budget 90% of MRAM for inverted lists.
   const std::size_t budget =
       static_cast<std::size_t>(0.9 * static_cast<double>(hw::kMramBytes));
   return budget / mram_bytes_per_vector(index.pq_m());

@@ -1,6 +1,8 @@
 // Oracle tests for the DPU query kernel: an independent host-side
 // re-implementation of the quantized pipeline (int8 codebook -> float LUT ->
-// u16 LUT -> integer ADC) must agree with what the kernel writes to MRAM.
+// u16 LUT -> integer ADC) must agree with what the kernel writes to MRAM,
+// and the UpANNS modes' fixed-point keys must stay within their rounding
+// of the float ADC distance.
 #include "core/dpu_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include "core/engine.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
+#include "obs/metrics.hpp"
+#include "quant/kmeans.hpp"
 
 namespace upanns::core {
 namespace {
@@ -189,11 +193,9 @@ TEST(Kernel, MergeStatsConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// S0-S2 under the block split, against a hand-built MRAM image: one cluster
-// with no records, so a run is exactly LUT build, reduce, quantize and an
-// empty merge. The image carries both S0 inputs: the int8 codebook the
-// kNaiveRaw S0 streams, and the cluster table (MRAM) plus query table
-// (host-mirrored) the precomputed S0 of the UpANNS modes adds up.
+// kNaiveRaw's S0-S2 under the block split, against a hand-built MRAM image:
+// one cluster with no records, so a run is exactly LUT build, reduce,
+// quantize and an empty merge.
 
 std::vector<common::SimdLevel> supported_levels() {
   std::vector<common::SimdLevel> out;
@@ -218,8 +220,6 @@ struct LutImage {
   DpuLaunchInput input;
   std::vector<std::int8_t> codebook;
   std::vector<float> scales, query, centroid;
-  std::vector<float> query_table, cluster_table;
-  std::vector<float> naive_row, table_row;  ///< the pushed query rows
 
   LutImage(std::size_t m, std::size_t dsub, std::uint64_t seed,
            std::size_t k = 4) {
@@ -240,37 +240,25 @@ struct LutImage {
     }
     layout.codebook_off = put(codebook.data(), codebook.size());
     layout.cb_scale_off = put(scales.data(), m * sizeof(float));
-    const LutCodebook cb(codebook.data(), scales.data(), m, dsub);
-    query_table.resize(cb.table_size());
-    cluster_table.resize(cb.table_size());
-    cb.query_table(query.data(), query_table.data());
-    cb.cluster_table(centroid.data(), cluster_table.data());
     DpuClusterData cl;
     cl.centroid_off = put(centroid.data(), layout.dim * sizeof(float));
-    cl.table_off =
-        put(cluster_table.data(), cluster_table.size() * sizeof(float));
     layout.clusters.push_back(cl);
-    naive_row = query;
-    table_row = query;
-    table_row.insert(table_row.end(), query_table.begin(), query_table.end());
     input.k = k;
     input.query_rows = {0};
     input.results_off = dpu.mram_alloc(input.k * 8, "results");
     input.items.push_back({0, 0});
   }
 
-  /// Push the query row the kernel in `mode` reads (a real push rewinds the
-  /// batch scratch first, which drops the previous mirror).
-  void push(KernelMode mode) {
-    const std::vector<float>& row =
-        mode == KernelMode::kNaiveRaw ? naive_row : table_row;
+  /// Push the query vector (a real push rewinds the batch scratch first,
+  /// which drops the previous mirror).
+  void push() {
     dpu.mram_rewind(dpu.mram_mark());
-    dpu.mram_mirror(row.data(), input.query_rows.data(), 1,
-                    row.size() * sizeof(float), "batch-queries");
+    dpu.mram_mirror(query.data(), input.query_rows.data(), 1,
+                    query.size() * sizeof(float), "batch-queries");
   }
 
-  void run(QueryKernel& kernel, KernelMode mode, unsigned tasklets) {
-    push(mode);
+  void run(QueryKernel& kernel, unsigned tasklets) {
+    push();
     dpu.run(kernel, tasklets);
   }
 
@@ -327,7 +315,7 @@ TEST(LutSplit, BitIdenticalToPerSubspaceReference) {
         for (const unsigned t : {1u, 2u, 3u, 11u, 16u, 24u}) {
           QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                              /*prune_topk=*/true);
-          img.run(kernel, KernelMode::kNaiveRaw, t);
+          img.run(kernel, t);
           const KernelScratch& got = kernel.scratch();
           const std::string where = "m=" + std::to_string(m) +
                                     " dsub=" + std::to_string(dsub) +
@@ -359,7 +347,7 @@ TEST(LutSplit, BuildPhaseWithinOneBlockOfIssueBound) {
   LutImage img(kM, kDsub, 7);
   QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                      /*prune_topk=*/true);
-  img.push(KernelMode::kNaiveRaw);
+  img.push();
   kernel.setup(img.dpu, kT);
   std::vector<pim::TaskletWork> works;
   for (unsigned t = 0; t < kT; ++t) {
@@ -388,7 +376,7 @@ TEST(LutSplit, TaskletWithoutBlockReportsZeroMax) {
   LutImage img(2, 8, 9);
   QueryKernel kernel(img.layout, img.input, KernelMode::kNaiveRaw,
                      /*prune_topk=*/true);
-  img.run(kernel, KernelMode::kNaiveRaw, 24);
+  img.run(kernel, 24);
   const std::vector<float>& mx = kernel.scratch().tasklet_max;
   ASSERT_EQ(mx.size(), 24u);
   EXPECT_GT(mx[21], 0.f);
@@ -401,57 +389,179 @@ TEST(LutSplit, TaskletWithoutBlockReportsZeroMax) {
   EXPECT_EQ(kernel.lut_scale(), want_scale);
 }
 
-// --- The precomputed S0 (UpANNS modes): A + B + C against the direct
-// per-subspace reference. The decomposition reassociates the float sum, so
-// the float LUT agrees to a relative tolerance of the LUT's range and the
-// u16 LUT to one quantization step.
+// --- The fixed-point keys of the UpANNS modes, against a hand-built image:
+// one probed cluster of 48 records (3 chunks) under k = 48, so the result
+// lists every record's key. Half the records draw their codes from {0, 1},
+// which makes triplets repeat often enough for CAE to mine combos.
 
-constexpr float kLutRelTol = 2e-6f;
+constexpr std::size_t kKeyRecords = 48;
+constexpr std::size_t kKeyClusters = 4;
 
-void expect_tables_match_reference(const LutImage& img,
-                                   const QueryKernel& kernel,
-                                   const std::string& where) {
-  std::vector<float> want;
-  std::vector<std::uint16_t> want_u16;
-  float want_scale = 0.f;
-  img.reference(want, want_u16, want_scale);
-  const KernelScratch& got = kernel.scratch();
-  ASSERT_EQ(got.lut_f32.size(), want.size()) << where;
-  const float range = want_scale * 65000.f;  // the reference LUT maximum
-  float worst = 0.f;
-  int worst_u16 = 0;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    worst = std::max(worst, std::abs(got.lut_f32[i] - want[i]));
-    worst_u16 = std::max(
-        worst_u16, std::abs(static_cast<int>(got.lut_u16[i]) -
-                            static_cast<int>(want_u16[i])));
+struct KeyImage {
+  pim::Dpu dpu{0};
+  DpuStaticLayout layout;
+  DpuLaunchInput input;
+  std::vector<std::int8_t> codebook;
+  std::vector<float> scales, centroids, query;
+  ivf::InvertedList list;
+  KeyCodec codec;
+  std::vector<std::uint16_t> table;  ///< the pushed row
+  std::size_t saturated = 0;
+  std::size_t static_mark = 0;  ///< end of the cluster image
+
+  /// `far` moves the query `far` units along every axis, past R_s.
+  KeyImage(std::size_t m, std::size_t dsub, std::uint64_t seed,
+           KernelMode mode, float far = 0.f, std::size_t k = kKeyRecords) {
+    common::Rng rng(seed);
+    const std::size_t dim = m * dsub;
+    layout.m = m;
+    layout.dsub = dsub;
+    layout.dim = dim;
+    codebook.resize(m * 256 * dsub);
+    for (auto& c : codebook) {
+      c = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
+    }
+    for (std::size_t s = 0; s < m; ++s) {
+      scales.push_back(rng.uniform(0.002f, 0.05f));
+    }
+    for (std::size_t i = 0; i < kKeyClusters * dim; ++i) {
+      centroids.push_back(rng.uniform(-2.f, 2.f));
+    }
+    for (std::size_t d = 0; d < dim; ++d) {
+      query.push_back(centroids[d] + rng.uniform(-1.f, 1.f) + far);
+    }
+    for (std::uint32_t r = 0; r < kKeyRecords; ++r) {
+      list.ids.push_back(1000 + r);
+      for (std::size_t s = 0; s < m; ++s) {
+        list.codes.push_back(static_cast<std::uint8_t>(
+            r % 2 == 0 ? rng.below(2) : rng.below(256)));
+      }
+    }
+    codec = KeyCodec(LutCodebook(codebook.data(), scales.data(), m, dsub),
+                     centroids.data(), kKeyClusters, dim);
+    layout.unit = codec.unit();
+
+    // Cluster 0's image, exactly as the engine builds it.
+    const CaeClusterEncoding enc = mode == KernelMode::kCae
+                                       ? cae_encode_cluster(list, m, {})
+                                       : direct_encode_cluster(list, m);
+    std::vector<std::uint32_t> norms;
+    codec.record_norms(0, centroids.data(), list.codes.data(), kKeyRecords,
+                       norms);
+    std::vector<std::uint16_t> stream;
+    std::vector<std::uint32_t> chunks;
+    build_record_stream(enc, norms, stream, chunks);
+    DpuClusterData cl;
+    cl.n_records = kKeyRecords;
+    cl.ids_off = put(list.ids.data(), kKeyRecords * sizeof(std::uint32_t));
+    cl.stream_off = put(stream.data(), stream.size() * sizeof(std::uint16_t));
+    cl.stream_len = stream.size();
+    cl.chunk_index_off = put(chunks.data(), chunks.size() * sizeof(std::uint32_t));
+    cl.n_chunks = static_cast<std::uint32_t>(chunks.size());
+    if (!enc.combos.empty()) {
+      std::vector<std::uint8_t> defs;
+      for (const CaeCombo& c : enc.combos) {
+        defs.insert(defs.end(), {c.pos, c.c0, c.c1, c.c2});
+      }
+      cl.combos_off = put(defs.data(), defs.size());
+      cl.n_combos = static_cast<std::uint32_t>(enc.combos.size());
+    }
+    layout.clusters.push_back(cl);
+    static_mark = dpu.mram_mark();
+
+    table.resize(codec.table_size());
+    const double offset = codec.query_table(query.data(), table.data(),
+                                            saturated);
+    input.k = k;
+    input.query_rows = {0};
+    input.items.push_back(
+        {0, 0,
+         codec.pair_key(quant::l2_sq(query.data(), centroids.data(), dim),
+                        offset, 0)});
   }
-  EXPECT_LE(worst, kLutRelTol * range) << where;
-  EXPECT_LE(worst_u16, 1) << where;
-  EXPECT_NEAR(kernel.lut_scale(), want_scale, kLutRelTol * want_scale)
-      << where;
-}
 
-TEST(LutTables, MatchDirectReferenceAtEveryShapeLevelAndTaskletCount) {
+  std::size_t put(const void* src, std::size_t bytes) {
+    const std::size_t off = dpu.mram_alloc((bytes + 7) / 8 * 8, "image");
+    dpu.host_write(off, src, bytes);
+    return off;
+  }
+
+  /// Push the table row and the result slots, as PushStage does.
+  void push() {
+    dpu.mram_rewind(static_mark);
+    dpu.mram_mirror(table.data(), input.query_rows.data(), 1,
+                    table.size() * sizeof(std::uint16_t), "batch-queries");
+    input.results_off = dpu.mram_alloc(input.k * 8, "batch-results");
+  }
+
+  /// Sorted keys of one run.
+  std::vector<KeyedNeighbor> run(QueryKernel& kernel, unsigned tasklets) {
+    push();
+    dpu.run(kernel, tasklets);
+    return kernel.scratch().result;
+  }
+
+  /// Float ADC distance |q - c - y_r|^2 of record r, in double.
+  double adc(std::size_t r) const {
+    const std::size_t dsub = layout.dsub;
+    double acc = 0.0;
+    for (std::size_t s = 0; s < layout.m; ++s) {
+      const std::uint8_t code = list.codes[r * layout.m + s];
+      for (std::size_t d = 0; d < dsub; ++d) {
+        const double y =
+            scales[s] *
+            static_cast<float>(codebook[(s * 256 + code) * dsub + d]);
+        const double diff = static_cast<double>(query[s * dsub + d]) -
+                            centroids[s * dsub + d] - y;
+        acc += diff * diff;
+      }
+    }
+    return acc;
+  }
+};
+
+TEST(KeyTables, WithinRoundingOfFloatAdcAtEveryShapeLevelAndTaskletCount) {
+  // Every key is K_pair + m table entries + n_r, each rounded once to the
+  // unit, so U * key sits within (m + 2) * U / 2 of the float ADC distance
+  // (o_q is folded into K_pair). Keys also repeat bit for bit across SIMD
+  // levels and tasklet counts, and kCae's combo sums reproduce
+  // kDirectTokens' keys exactly.
   LevelGuard guard;
   for (const std::size_t m : {std::size_t{12}, std::size_t{16},
                               std::size_t{20}}) {
     for (const std::size_t dsub : {std::size_t{8}, std::size_t{6},
                                    std::size_t{5}}) {
-      LutImage img(m, dsub, 300 + m * 10 + dsub);
+      const std::uint64_t seed = 300 + m * 10 + dsub;
+      KeyImage direct(m, dsub, seed, KernelMode::kDirectTokens);
+      KeyImage cae(m, dsub, seed, KernelMode::kCae);
+      ASSERT_GT(cae.layout.clusters[0].n_combos, 0u);
+      ASSERT_EQ(direct.saturated, 0u);
+      const double unit = direct.codec.unit();
+      std::vector<KeyedNeighbor> want;
       for (const auto level : supported_levels()) {
         common::set_simd_level(level);
         for (const unsigned t : {1u, 2u, 3u, 11u, 16u, 24u}) {
-          for (const KernelMode mode :
-               {KernelMode::kDirectTokens, KernelMode::kCae}) {
-            QueryKernel kernel(img.layout, img.input, mode,
+          for (KeyImage* img : {&direct, &cae}) {
+            const KernelMode mode = img == &direct ? KernelMode::kDirectTokens
+                                                   : KernelMode::kCae;
+            QueryKernel kernel(img->layout, img->input, mode,
                                /*prune_topk=*/true);
-            img.run(kernel, mode, t);
-            expect_tables_match_reference(
-                img, kernel,
+            const std::vector<KeyedNeighbor> got = img->run(kernel, t);
+            const std::string where =
                 "m=" + std::to_string(m) + " dsub=" + std::to_string(dsub) +
-                    " level=" + common::simd_level_name(level) +
-                    " tasklets=" + std::to_string(t));
+                " level=" + common::simd_level_name(level) +
+                " tasklets=" + std::to_string(t) +
+                (mode == KernelMode::kCae ? " cae" : " direct");
+            ASSERT_EQ(got.size(), kKeyRecords) << where;
+            if (want.empty()) want = got;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].key, want[i].key) << where;
+              EXPECT_EQ(got[i].id, want[i].id) << where;
+              const double dist = unit * static_cast<double>(got[i].key);
+              EXPECT_NEAR(dist, img->adc(got[i].id - 1000),
+                          static_cast<double>(m + 2) * unit / 2)
+                  << where << " id=" << got[i].id;
+            }
           }
         }
       }
@@ -459,101 +569,80 @@ TEST(LutTables, MatchDirectReferenceAtEveryShapeLevelAndTaskletCount) {
   }
 }
 
-TEST(LutTables, BitIdenticalAcrossTaskletCounts) {
-  // Every entry is (A_s + B_sj) + C_sj whichever tasklet owns it.
-  LutImage img(16, 8, 41);
-  QueryKernel ref(img.layout, img.input, KernelMode::kDirectTokens, true);
-  img.run(ref, KernelMode::kDirectTokens, 1);
-  for (const unsigned t : {2u, 3u, 11u, 16u, 24u}) {
-    QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens, true);
-    img.run(kernel, KernelMode::kDirectTokens, t);
-    EXPECT_EQ(std::memcmp(kernel.scratch().lut_f32.data(),
-                          ref.scratch().lut_f32.data(),
-                          ref.scratch().lut_f32.size() * sizeof(float)),
-              0)
-        << "tasklets=" << t;
-    EXPECT_EQ(kernel.scratch().lut_u16, ref.scratch().lut_u16);
-  }
+TEST(KeyTables, QueryFarOutsideTheRecordsSaturatesAndIsCounted) {
+  KeyImage near(16, 8, 5, KernelMode::kDirectTokens);
+  EXPECT_EQ(near.saturated, 0u);
+  KeyImage far(16, 8, 5, KernelMode::kDirectTokens, /*far=*/1e4f);
+  EXPECT_GT(far.saturated, 0u);
+  std::size_t capped = 0;
+  for (const std::uint16_t e : far.table) capped += e == 65535 ? 1 : 0;
+  EXPECT_EQ(capped, far.saturated);
+
+  // The engine books the same count per batch when metrics are attached.
+  auto& f = fixture();
+  UpAnnsEngine engine(f.index, f.stats, tiny_options(false));
+  obs::MetricsRegistry reg;
+  engine.set_metrics(&reg);
+  engine.search(f.wl.queries);
+  EXPECT_EQ(reg.counter("pim.table.saturated_entries").value(), 0u);
+  data::Dataset outlier = f.wl.queries;
+  for (float& v : outlier.values) v += 1e4f;
+  engine.search(outlier);
+  EXPECT_GT(reg.counter("pim.table.saturated_entries").value(), 0u);
 }
 
-/// Per-tasklet work of the first item's S0 at `t` tasklets.
-std::vector<pim::TaskletWork> s0_work(LutImage& img, KernelMode mode,
-                                      unsigned t) {
-  QueryKernel kernel(img.layout, img.input, mode, /*prune_topk=*/true);
-  img.push(mode);
-  kernel.setup(img.dpu, t);
-  std::vector<pim::TaskletWork> works;
-  for (unsigned id = 0; id < t; ++id) {
-    pim::TaskletCtx ctx(img.dpu, id, t);
-    kernel.run_phase(0, ctx);
-    works.push_back(ctx.work());
-  }
-  return works;
-}
-
-TEST(LutTables, BuildPhaseNearIssueBoundAndAThirdOfTheCodebookS0) {
-  // m = 16, T = 11: the precomputed S0 keeps the block split's balance (the
-  // busiest path within one block plus its own DMA wait of the issue bound)
-  // at 8 instead of 27 instructions per entry.
-  constexpr unsigned kT = 11;
-  LutImage img(16, 8, 7);
-  const auto works = s0_work(img, KernelMode::kDirectTokens, kT);
-  std::uint64_t issue = 0, max_dma = 0;
-  for (const auto& w : works) {
-    issue += w.instructions;
-    max_dma = std::max(max_dma, w.dma_cycles);
-  }
-  EXPECT_GE(issue, 16u * 256u * (5 + 3));
-  const std::uint64_t cycles = pim::DpuCostModel::phase_cycles(works);
-  EXPECT_LE(cycles, issue + kT * 8 * (5 + 3) + max_dma);
-  const std::uint64_t codebook = pim::DpuCostModel::phase_cycles(
-      s0_work(img, KernelMode::kNaiveRaw, kT));
-  EXPECT_LT(cycles * 100, codebook * 35);
-}
-
-TEST(LutTables, SumRoundingBelowZeroClampsToZero) {
-  // Make entry (s=1, j=5) cancel exactly in real arithmetic but round below
-  // zero in float: C = -(A + B) one ulp down. The kernel must emit 0, and the
-  // quantized entry must be 0, not a wrapped or garbage u16.
-  LutImage img(4, 8, 17);
-  const std::size_t s = 1, j = 5, e = s * 256 + j;
-  float a = 0.f;
-  for (std::size_t d = 0; d < 8; ++d) {
-    const float diff = img.query[s * 8 + d] - img.centroid[s * 8 + d];
-    a += diff * diff;
-  }
-  const float ab = a + img.query_table[e];
-  img.cluster_table[e] =
-      std::nextafter(-ab, -std::numeric_limits<float>::infinity());
-  ASSERT_LT((a + img.query_table[e]) + img.cluster_table[e], 0.f);
-  img.dpu.host_write(img.layout.clusters[0].table_off + e * sizeof(float),
-                     &img.cluster_table[e], sizeof(float));
-  for (const unsigned t : {1u, 11u}) {
-    QueryKernel kernel(img.layout, img.input, KernelMode::kDirectTokens, true);
-    img.run(kernel, KernelMode::kDirectTokens, t);
-    EXPECT_EQ(kernel.scratch().lut_f32[e], 0.f) << "tasklets=" << t;
-    EXPECT_FALSE(std::signbit(kernel.scratch().lut_f32[e]));
-    EXPECT_EQ(kernel.scratch().lut_u16[e], 0u);
-    EXPECT_GT(kernel.lut_scale(), 0.f);
-  }
-}
-
-TEST(LutTables, StagingFitsWramAtMaxTaskletsForEveryFamily) {
+TEST(KeyTables, WramFitsAtMaxTaskletsForEveryFamily) {
   // deep (m=12, dsub=8), sift (16, 8) and spacev (20, 5) at 24 tasklets and
-  // the engine's k=10: the B/C staging buffers reuse the codebook's WRAM
-  // footprint, so the full kernel layout (heaps, combo cache, LUT, staging,
-  // then the distance-stage stream buffers) must fit 64 KB.
+  // the engine's k=10: heaps, combo cache, u16 table and the stream buffers.
   for (const auto& [m, dsub] :
        {std::pair<std::size_t, std::size_t>{12, 8}, {16, 8}, {20, 5}}) {
-    LutImage img(m, dsub, 5, /*k=*/10);
     for (const KernelMode mode :
          {KernelMode::kDirectTokens, KernelMode::kCae}) {
+      KeyImage img(m, dsub, 5, mode, 0.f, /*k=*/10);
       QueryKernel kernel(img.layout, img.input, mode, true);
-      EXPECT_NO_THROW(img.run(kernel, mode, 24))
-          << "m=" << m << " dsub=" << dsub;
+      EXPECT_NO_THROW(img.run(kernel, 24)) << "m=" << m << " dsub=" << dsub;
       EXPECT_LE(img.dpu.wram().high_water(), hw::kWramBytes);
-      expect_tables_match_reference(img, kernel,
-                                    "m=" + std::to_string(m) + " T=24");
+    }
+  }
+}
+
+/// Summed per-phase instructions of one run at `t` tasklets.
+std::vector<std::uint64_t> phase_instructions(KeyImage& img, KernelMode mode,
+                                              unsigned t) {
+  QueryKernel kernel(img.layout, img.input, mode, /*prune_topk=*/true);
+  img.push();
+  kernel.setup(img.dpu, t);
+  std::vector<std::uint64_t> out(kernel.n_phases(), 0);
+  for (unsigned ph = 0; ph < kernel.n_phases(); ++ph) {
+    for (unsigned id = 0; id < t; ++id) {
+      pim::TaskletCtx ctx(img.dpu, id, t);
+      kernel.run_phase(ph, ctx);
+      out[ph] += ctx.work().instructions;
+    }
+  }
+  return out;
+}
+
+TEST(KeyTables, ScanChargesTheRecordFormulaAndS0OnlyTheTableSlices) {
+  // The distance phase charges 3 per token, 5 per record and one heap push
+  // per record (k covers the cluster, so every record enters its heap) —
+  // the same formula as before the keys went integer. The per-query S0
+  // charges only its DMA slice setup, 4 per tasklet holding blocks.
+  for (const KernelMode mode : {KernelMode::kDirectTokens, KernelMode::kCae}) {
+    KeyImage img(16, 8, 11, mode);
+    const CaeClusterEncoding enc =
+        mode == KernelMode::kCae ? cae_encode_cluster(img.list, 16, {})
+                                 : direct_encode_cluster(img.list, 16);
+    for (const unsigned t : {1u, 11u, 24u}) {
+      const std::vector<std::uint64_t> instr = phase_instructions(img, mode, t);
+      const std::size_t distance = instr.size() - 2;  // before the merge
+      std::uint64_t lg = 1;
+      while ((1ull << lg) < kKeyRecords + 1) ++lg;
+      EXPECT_EQ(instr[distance], enc.total_tokens * 3 + kKeyRecords * 5 +
+                                     kKeyRecords * (2 * lg + 4))
+          << "tasklets=" << t;
+      const std::uint64_t slices = std::min<std::uint64_t>(t, 16 * 256 / 8);
+      EXPECT_EQ(instr[0], 4 * slices) << "tasklets=" << t;
     }
   }
 }

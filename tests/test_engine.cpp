@@ -9,6 +9,7 @@
 #include "baselines/cpu_ivfpq.hpp"
 #include "core/pipeline.hpp"
 #include "data/ground_truth.hpp"
+#include "replica_images.hpp"
 
 namespace upanns::core {
 namespace {
@@ -213,28 +214,13 @@ TEST(Engine, RelocateKeepsResults) {
   }
 }
 
-/// Cluster table bytes of every resident replica, keyed by cluster; checks
-/// that all replicas of a cluster on this engine are byte-identical.
-std::map<std::uint32_t, std::vector<std::uint8_t>> cluster_tables(
-    UpAnnsEngine& engine) {
-  std::map<std::uint32_t, std::vector<std::uint8_t>> out;
-  QueryPipeline pl(engine);
-  const std::size_t bytes = engine.index().pq_m() * 256 * sizeof(float);
-  for (std::size_t d = 0; d < engine.options().n_dpus; ++d) {
-    for (const DpuClusterData& cd : pl.per_dpu(d).layout.clusters) {
-      const std::uint8_t* p = engine.system().dpu(d).mram_data(cd.table_off);
-      std::vector<std::uint8_t> table(p, p + bytes);
-      const auto [it, fresh] = out.emplace(cd.cluster_id, table);
-      EXPECT_TRUE(fresh || it->second == table) << "cluster " << cd.cluster_id;
-    }
-  }
-  return out;
-}
-
-TEST(Engine, AdaptedAndRelocatedClusterTablesMatchFreshLoad) {
+TEST(Engine, AdaptedAndRelocatedReplicaImagesMatchFreshLoad) {
+  // Record streams carry each record's norm term, which depends only on the
+  // frozen quantizers and the record, so every replica of a cluster —
+  // loaded, adapted or relocated — is byte-identical.
   auto& f = fixture();
   UpAnnsEngine fresh(f.index, f.stats, f.small());
-  const auto want = cluster_tables(fresh);
+  const auto want = test_support::replica_images(fresh);
   ASSERT_FALSE(want.empty());
 
   // Copy adjustment: retire a replica of a replicated cluster (its regions
@@ -254,7 +240,7 @@ TEST(Engine, AdaptedAndRelocatedClusterTablesMatchFreshLoad) {
   const auto added = adapted.apply_copy_adjustments(
       {{single, +2}, {replicated, +1}}, f.stats.frequencies);
   EXPECT_GT(added.replicas_added, 0u);
-  EXPECT_EQ(cluster_tables(adapted), want);
+  EXPECT_EQ(test_support::replica_images(adapted), want);
 
   // Relocation under a different traffic profile reloads every image.
   UpAnnsEngine relocated(f.index, f.stats, f.small());
@@ -265,7 +251,7 @@ TEST(Engine, AdaptedAndRelocatedClusterTablesMatchFreshLoad) {
     flat.workloads[c] = static_cast<double>(flat.sizes[c]) * flat.frequencies[c];
   }
   relocated.relocate(flat);
-  EXPECT_EQ(cluster_tables(relocated), want);
+  EXPECT_EQ(test_support::replica_images(relocated), want);
   EXPECT_EQ(relocated.search(f.wl.queries).neighbors,
             fresh.search(f.wl.queries).neighbors);
 }

@@ -193,8 +193,9 @@ struct MiniKernel {
   pim::Dpu dpu{0};
   DpuStaticLayout layout;
   DpuLaunchInput input;
-  /// The pushed query row: the query vector, then its query table.
-  std::vector<float> query_row = std::vector<float>(kDim + kM * 256, 0.f);
+  /// The pushed query row: the query's u16 table.
+  std::vector<std::uint16_t> query_row =
+      std::vector<std::uint16_t>(kM * 256, 0);
 
   MiniKernel() {
     layout.dim = kDim;
@@ -207,14 +208,15 @@ struct MiniKernel {
     for (std::uint32_t i = 0; i < kRecords; ++i) {
       dpu.host_write(cl.ids_off + i * sizeof(std::uint32_t), &i, sizeof(i));
     }
-    // Direct-token records: u16 length prefix + kM tokens each.
+    // Direct-token records: the 3-element header (length, norm term) + kM
+    // tokens each.
     std::vector<std::uint16_t> stream;
     std::vector<std::uint32_t> chunk_index;
     for (std::size_t r = 0; r < kRecords; ++r) {
       if (r % kChunkRecords == 0) {
         chunk_index.push_back(static_cast<std::uint32_t>(stream.size()));
       }
-      stream.push_back(kM);
+      stream.insert(stream.end(), {kM, 0, 0});
       for (std::size_t pos = 0; pos < kM; ++pos) {
         stream.push_back(static_cast<std::uint16_t>(pos * 256 + (r % 256)));
       }
@@ -229,14 +231,13 @@ struct MiniKernel {
         chunk_index.size() * sizeof(std::uint32_t), "chunk-index");
     dpu.host_write(cl.chunk_index_off, chunk_index.data(),
                    chunk_index.size() * sizeof(std::uint32_t));
-    cl.centroid_off = dpu.mram_alloc(kDim * sizeof(float), "centroid");
-    cl.table_off = dpu.mram_alloc(kM * 256 * sizeof(float), "cluster-table");
     layout.clusters.push_back(cl);
 
     input.k = kK;
     input.query_rows = {0};
     dpu.mram_mirror(query_row.data(), input.query_rows.data(), 1,
-                    query_row.size() * sizeof(float), "batch-queries");
+                    query_row.size() * sizeof(std::uint16_t),
+                    "batch-queries");
     input.results_off = dpu.mram_alloc(kK * 8, "results");
     input.items.push_back({0, 0});
   }
@@ -245,30 +246,16 @@ struct MiniKernel {
   std::uint64_t expected_dma_cycles(unsigned t) const {
     const DpuClusterData& cl = layout.clusters[0];
     std::uint64_t total = 0;
-    // S0 LUT build (precomputed tables): the kM*256 entries split into
-    // equal contiguous ranges of 8-entry blocks (ceil split). A tasklet with
-    // a range views the query and centroid slices of the subspaces it
-    // touches (for A_s), then streams each touched subspace's run of B (the
-    // query row's table, host-mirrored) and C (the cluster table) in staging
-    // pieces: the old codebook footprint kM*256*kDsub split into 2t
-    // buffers of whole 8-entry blocks, one B and one C DMA per piece. A
-    // tasklet with an empty range views nothing.
-    const std::size_t stage = std::clamp<std::size_t>(
-        kM * 256 * kDsub / (2 * t) / 32 * 8, 8, 512);
+    // S0, once per query: the kM*256 table entries split into equal
+    // contiguous ranges of 8-entry blocks (ceil split); a tasklet with a
+    // range DMAs its slice of the mirrored u16 table, one view. A tasklet
+    // with an empty range moves nothing.
     const std::size_t n_blocks = kM * 256 / 8;
     const std::size_t per = (n_blocks + t - 1) / t;
     for (unsigned id = 0; id < t; ++id) {
       const std::size_t lo = std::min(n_blocks, id * per) * 8;
       const std::size_t hi = std::min(n_blocks * 8, lo + per * 8);
-      if (lo == hi) continue;
-      const std::size_t subspaces = (hi + 255) / 256 - lo / 256;
-      total += 2 * dma(subspaces * kDsub * sizeof(float));
-      for (std::size_t s = lo / 256; s * 256 < hi; ++s) {
-        const std::size_t run_hi = std::min(hi, (s + 1) * 256);
-        for (std::size_t e = std::max(lo, s * 256); e < run_hi; e += stage) {
-          total += 2 * dma(std::min(stage, run_hi - e) * sizeof(float));
-        }
-      }
+      if (lo < hi) total += dma((hi - lo) * sizeof(std::uint16_t));
     }
     // S4 distance: one chunk-index slice DMA per tasklet — ceil(n_chunks/t)
     // entries, capped at the table. This is the accounting under test: the
@@ -283,9 +270,10 @@ struct MiniKernel {
       const std::size_t rec_hi =
           std::min<std::size_t>(cl.n_records, rec_lo + kChunkRecords);
       total += dma((rec_hi - rec_lo) * sizeof(std::uint32_t));
-      // Every record is kM+1 elements (length prefix + kM tokens), so the
-      // chunk's stream span is exactly its record span scaled up.
-      total += dma((rec_hi - rec_lo) * (kM + 1) * sizeof(std::uint16_t));
+      // Every record is kM+3 elements (header + kM tokens), so the chunk's
+      // stream span is exactly its record span scaled up.
+      total += dma((rec_hi - rec_lo) * (kM + kRecordHeaderElems) *
+                   sizeof(std::uint16_t));
     }
     // S5 merge: the last tasklet writes the packed top-k.
     total += dma(kK * 8);

@@ -32,6 +32,7 @@
 #include "ivf/cluster_stats.hpp"
 #include "ivf/ivf_index.hpp"
 #include "pim/dpu.hpp"
+#include "replica_images.hpp"
 
 namespace upanns {
 namespace {
@@ -268,6 +269,9 @@ TEST(EngineParity, PatchedImagesMatchFreshLoadMidStream) {
 
   core::UpAnnsEngine fresh(static_cast<const ivf::IvfIndex&>(mut), f.stats,
                            opts);
+  // Whole replica images, the records' norm terms included, match too.
+  EXPECT_EQ(core::test_support::replica_images(engine),
+            core::test_support::replica_images(fresh));
   expect_same_report(engine.search(f.wl.queries), fresh.search(f.wl.queries));
 }
 
@@ -320,6 +324,8 @@ TEST(EngineParity, CompactedEngineMatchesRebuiltIndexBitForBit) {
   const ivf::IvfIndex rebuilt = rebuild_from_survivors(mut, store);
   EXPECT_EQ(rebuilt.n_points(), mut.n_points());
   core::UpAnnsEngine fresh(rebuilt, f.stats, f.options());
+  EXPECT_EQ(core::test_support::replica_images(engine),
+            core::test_support::replica_images(fresh));
   expect_same_report(engine.search(f.wl.queries), fresh.search(f.wl.queries));
 }
 

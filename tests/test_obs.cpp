@@ -643,5 +643,25 @@ TEST(Metrics, CriticalDpuGaugesDescribeTheBoundingDpu) {
   EXPECT_GE(balance, 1.0);
 }
 
+TEST(Metrics, ScheduleModelErrorBookedPerBatch) {
+  // Every batch books how far the measured busy balance sits from the
+  // balance Algorithm 2 scheduled: balance_ratio / schedule_balance.
+  auto& f = fixture();
+  core::UpAnnsEngine engine(f.index, f.stats, f.options());
+  MetricsRegistry reg;
+  engine.set_metrics(&reg);
+  std::vector<double> want;
+  for (int b = 0; b < 3; ++b) {
+    const core::SearchReport r = engine.search(f.wl.queries);
+    ASSERT_GT(r.pim->schedule_balance, 0.0);
+    want.push_back(r.pim->balance_ratio / r.pim->schedule_balance);
+  }
+  const Histogram& h = reg.histogram("schedule.model_error");
+  EXPECT_EQ(h.count(), want.size());
+  EXPECT_DOUBLE_EQ(h.sum(), want[0] + want[1] + want[2]);
+  EXPECT_DOUBLE_EQ(h.max(), *std::max_element(want.begin(), want.end()));
+  EXPECT_EQ(h.bounds().front(), 1.0);  // a ratio scale, not time buckets
+}
+
 }  // namespace
 }  // namespace upanns::obs
