@@ -37,6 +37,7 @@
 #include "ivf/cluster_stats.hpp"
 #include "pim/dpu.hpp"
 #include "pim/energy.hpp"
+#include "pim/transfer.hpp"
 
 namespace upanns::obs {
 class MetricsRegistry;
@@ -154,14 +155,18 @@ class UpAnnsEngine {
     std::uint64_t bytes_written = 0;  ///< MRAM bytes actually pushed
     std::size_t lists_patched = 0;    ///< dirty (cluster, replica) images
     std::size_t regions_moved = 0;    ///< relocations past the slack cap
-    double seconds = 0;               ///< simulated host->DPU push time
+    /// Simulated write time: pim::TransferEngine::scatter's charge.
+    double seconds = 0;
+    /// The staged plan's DPU-side copy and launch, included in `seconds`;
+    /// 0 when the direct push was cheaper.
+    double apply_seconds = 0;
   };
 
   /// Rebuild the replica layout for a new frequency profile — the
   /// major-drift path of Sec 4.1.2 (fresh Algorithm 1 pass + full MRAM
   /// reload, without retraining the index). Returns the reload cost so the
   /// online pipelines can charge it to a batch slot: bytes_written is the
-  /// full image, seconds the per-DPU batch push; callers that relocate
+  /// full image, seconds its scatter charge; callers that relocate
   /// between workloads may ignore it.
   PatchStats relocate(const ivf::ClusterStats& stats);
 
@@ -172,7 +177,8 @@ class UpAnnsEngine {
     std::size_t replicas_added = 0;
     std::size_t replicas_retired = 0;
     std::uint64_t bytes_written = 0;  ///< MRAM bytes pushed for new replicas
-    double seconds = 0;               ///< simulated host->DPU push time
+    double seconds = 0;        ///< simulated write time (scatter's charge)
+    double apply_seconds = 0;  ///< staged copy + launch, within `seconds`
   };
 
   /// The minor-drift path of Sec 4.1.2: re-place only the requested replica
@@ -229,6 +235,17 @@ class UpAnnsEngine {
     std::vector<std::int32_t> cluster_slot;  ///< cluster id -> slot (-1 none)
   };
 
+  /// One planned host write into a DPU's static MRAM: `len` bytes from
+  /// `src` to offset `off`. A write pass plans every DPU's runs (allocating
+  /// the regions), prices them with scatter_charge, then commits them with
+  /// write_runs; `src` must stay valid until the commit. Internal, like
+  /// PerDpu.
+  struct MramRun {
+    std::size_t off = 0;
+    const void* src = nullptr;
+    std::size_t len = 0;
+  };
+
  private:
   friend class QueryPipeline;  ///< online path reads layouts, rewinds MRAM
 
@@ -246,23 +263,31 @@ class UpAnnsEngine {
     std::uint32_t n_tombstones = 0;
   };
 
-  /// Full MRAM image load; returns the bytes pushed per DPU (relocate turns
-  /// them into simulated transfer seconds, the constructor discards them).
-  std::vector<std::size_t> load_dpus(const ivf::ClusterStats& stats);
+  using RunLengths = std::vector<std::vector<std::size_t>>;
+
+  static void write_runs(pim::Dpu& dpu, const std::vector<MramRun>& runs);
+  /// pim::TransferEngine::scatter over `lengths` (per DPU), with the MRAM
+  /// above each DPU's static mark as staging room.
+  pim::TransferStats scatter_charge(const RunLengths& lengths) const;
+
+  /// Full MRAM image load; returns each DPU's write lengths (relocate
+  /// prices them, the constructor discards them).
+  RunLengths load_dpus(const ivf::ClusterStats& stats);
   void encode_cluster(std::size_t c);
   /// Bring encodings_[c] (and norms_[c]) up to date with the list: full
   /// re-encode after a compaction, cheap direct-token append after pure
   /// inserts.
   void refresh_encoding(std::size_t c);
   void build_cluster_image(std::uint32_t c, ClusterImage& out) const;
-  /// Write one replica of cluster c into `dpu` — list regions with the
-  /// mram_list_slack policy and, in kNaiveRaw, the centroid — and return
-  /// its descriptor. Regions come from mram_alloc_reuse, so a full load on a
-  /// fresh DPU lays images out exactly like the bump allocator and an adapt
-  /// add fills released space first. `bytes` accumulates what was pushed;
-  /// `img` is caller scratch.
+  /// Place one replica of cluster c, whose image is `img`, on `dpu` — list
+  /// regions with the mram_list_slack policy and, in kNaiveRaw, the
+  /// centroid — appending its writes to `runs`, and return its descriptor.
+  /// Regions come from mram_alloc_reuse, so a full load on a fresh DPU lays
+  /// images out exactly like the bump allocator and an adapt add fills
+  /// released space first.
   DpuClusterData load_replica(pim::Dpu& dpu, std::uint32_t c,
-                              ClusterImage& img, std::uint64_t& bytes) const;
+                              const ClusterImage& img,
+                              std::vector<MramRun>& runs) const;
   /// Return a replica's regions to `dpu`'s MRAM free list.
   void release_replica(pim::Dpu& dpu, const DpuClusterData& cd) const;
   std::size_t slack_bytes(std::size_t bytes) const;

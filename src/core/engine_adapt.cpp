@@ -3,13 +3,13 @@
 // deltas are re-placed by core::adjust_replicas and shipped incrementally —
 // new replica images load into reused MRAM regions, retired replicas release
 // theirs to the free list — so a copy adjustment moves a small fraction of
-// the full image where a relocate() would reload everything. Replication
-// changes placement, never results: every (query, cluster) pair still scans
-// exactly one replica of the same byte-identical image, so neighbors match
-// the unadapted run bit for bit.
+// the full image where a relocate() would reload everything. Like a patch,
+// the pass is planned, priced by pim::TransferEngine::scatter, then written.
+// Replication changes placement, never results: every (query, cluster) pair
+// still scans exactly one replica of the same byte-identical image, so
+// neighbors match the unadapted run bit for bit.
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -41,13 +41,30 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
     }
   }
 
+  // One image per added cluster, shared by every DPU that gains a copy;
+  // the planned runs point into it until the commit.
+  std::vector<std::int32_t> image_of(index_.n_clusters(), -1);
+  std::vector<std::uint32_t> added;
+  for (const CopyDelta& d : deltas) {
+    if (d.add && image_of[d.cluster] < 0) {
+      image_of[d.cluster] = static_cast<std::int32_t>(added.size());
+      added.push_back(d.cluster);
+    }
+  }
+  std::vector<ClusterImage> images(added.size());
+  common::ThreadPool::global().parallel_for(
+      0, added.size(),
+      [&](std::size_t i) { build_cluster_image(added[i], images[i]); }, 1);
+
   std::vector<std::vector<CopyDelta>> per_dpu_deltas(options_.n_dpus);
   for (const CopyDelta& d : deltas) per_dpu_deltas[d.dpu].push_back(d);
 
-  std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
+  std::vector<std::vector<MramRun>> runs(options_.n_dpus);
   std::vector<std::size_t> dpu_added(options_.n_dpus, 0);
   std::vector<std::size_t> dpu_retired(options_.n_dpus, 0);
 
+  // Plan: retire and place replicas, collecting the adds' writes. Nothing
+  // is written yet.
   common::ThreadPool::global().parallel_for(
       0, options_.n_dpus,
       [&](std::size_t d) {
@@ -59,8 +76,6 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
         // regions and fresh loads can take the space (same as patch_dpus).
         dpu.mram_rewind(pd.static_mark);
 
-        ClusterImage img;
-        std::uint64_t bytes = 0;
         for (const CopyDelta& op : ops) {
           if (!op.add) {
             // Retire: release the replica's regions to the MRAM free list
@@ -84,34 +99,37 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
             continue;
           }
 
-          // Add: load the replica image into reused regions, with the same
+          // Add: place the replica image in reused regions, with the same
           // slack policy as a full load so later streaming inserts patch it
           // in place.
           pd.cluster_slot[op.cluster] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(
-              load_replica(dpu, op.cluster, img, bytes));
+          pd.layout.clusters.push_back(load_replica(
+              dpu, op.cluster,
+              images[static_cast<std::size_t>(image_of[op.cluster])], runs[d]));
           ++dpu_added[d];
         }
         pd.static_mark = dpu.mram_mark();
-        dpu_bytes[d] = static_cast<std::size_t>(bytes);
       },
       1);
 
-  bool any_bytes = false;
+  // Price the planned runs, then commit them. A pure-retire pass ships
+  // nothing and costs nothing — the regions just return to the free list.
+  RunLengths lengths(options_.n_dpus);
   for (std::size_t d = 0; d < options_.n_dpus; ++d) {
-    stats.bytes_written += dpu_bytes[d];
+    for (const MramRun& r : runs[d]) {
+      lengths[d].push_back(r.len);
+      stats.bytes_written += r.len;
+    }
     stats.replicas_added += dpu_added[d];
     stats.replicas_retired += dpu_retired[d];
-    any_bytes = any_bytes || dpu_bytes[d] > 0;
   }
-  // Charged like every other host->DPU push. A pure-retire pass ships
-  // nothing and costs nothing — the regions just return to the free list.
-  pim::TransferStats xfer;
-  if (any_bytes) {
-    xfer = pim::TransferEngine::batch(dpu_bytes);
-    stats.seconds = xfer.seconds;
-  }
+  const pim::TransferStats xfer = scatter_charge(lengths);
+  stats.seconds = xfer.seconds;
+  stats.apply_seconds = xfer.apply_seconds;
+  common::ThreadPool::global().parallel_for(
+      0, options_.n_dpus,
+      [&](std::size_t d) { write_runs(system_->dpu(d), runs[d]); }, 1);
 
   if (metrics_) {
     metrics_->counter("adapt.patches").add(1);
@@ -119,7 +137,7 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
     metrics_->counter("adapt.replicas_added").add(stats.replicas_added);
     metrics_->counter("adapt.replicas_retired").add(stats.replicas_retired);
     metrics_->histogram("adapt.patch.seconds").observe(stats.seconds);
-    if (any_bytes) {
+    if (stats.bytes_written > 0) {
       pim::TransferEngine::record(obs::MetricsSink(metrics_), "adapt", xfer);
     }
   }

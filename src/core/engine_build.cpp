@@ -10,7 +10,7 @@
 #include "common/fastround.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
-#include "pim/transfer.hpp"
+#include "obs/metrics.hpp"
 
 namespace upanns::core {
 
@@ -128,14 +128,17 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
                    : place_random(index_, stats, options_.placement,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
-  const std::vector<std::size_t> dpu_bytes = load_dpus(stats);
+  const RunLengths lengths = load_dpus(stats);
 
-  // Charge the reload like every other host->DPU push so the online
+  // Charge the reload like every other static-region write so the online
   // pipelines can fold a drain-point relocation into a batch slot.
+  const pim::TransferStats xfer = scatter_charge(lengths);
   PatchStats out;
   out.bytes_written = load_image_bytes_;
   out.lists_patched = placement_.total_replicas;
-  out.seconds = pim::TransferEngine::batch(dpu_bytes).seconds;
+  out.seconds = xfer.seconds;
+  out.apply_seconds = xfer.apply_seconds;
+  pim::TransferEngine::record(obs::MetricsSink(metrics_), "relocate", xfer);
   return out;
 }
 
@@ -254,12 +257,11 @@ void UpAnnsEngine::snapshot_loaded_state() {
 }
 
 DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
-                                          ClusterImage& img,
-                                          std::uint64_t& bytes) const {
+                                          const ClusterImage& img,
+                                          std::vector<MramRun>& runs) const {
   // List regions are over-allocated by mram_list_slack so streaming inserts
   // patch in place. The slack is pure address-space: DMA costs are charged
   // per byte moved, never per offset, so read-only results are unchanged.
-  build_cluster_image(c, img);
   DpuClusterData cd;
   cd.cluster_id = c;
   cd.n_records = img.n_records;
@@ -268,17 +270,15 @@ DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
   const std::size_t ids_bytes = img.ids.size() * sizeof(std::uint32_t);
   cd.ids_cap = slack_bytes(ids_bytes);
   cd.ids_off = dpu.mram_alloc_reuse(cd.ids_cap, "ids");
-  if (ids_bytes > 0) dpu.host_write(cd.ids_off, img.ids.data(), ids_bytes);
-  bytes += ids_bytes;
+  if (ids_bytes > 0) runs.push_back({cd.ids_off, img.ids.data(), ids_bytes});
 
   cd.stream_cap = slack_bytes(img.stream.size());
   cd.stream_off = dpu.mram_alloc_reuse(
       cd.stream_cap, mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
   if (!img.stream.empty()) {
-    dpu.host_write(cd.stream_off, img.stream.data(), img.stream.size());
+    runs.push_back({cd.stream_off, img.stream.data(), img.stream.size()});
   }
   cd.stream_len = img.stream_elems;
-  bytes += img.stream.size();
 
   const std::size_t chunk_bytes =
       img.chunk_index.size() * sizeof(std::uint32_t);
@@ -286,16 +286,14 @@ DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
   if (chunk_bytes > 0) {
     cd.chunk_cap = slack_bytes(chunk_bytes);
     cd.chunk_index_off = dpu.mram_alloc_reuse(cd.chunk_cap, "chunk-index");
-    dpu.host_write(cd.chunk_index_off, img.chunk_index.data(), chunk_bytes);
-    bytes += chunk_bytes;
+    runs.push_back({cd.chunk_index_off, img.chunk_index.data(), chunk_bytes});
   }
 
   cd.n_combos = static_cast<std::uint32_t>(img.combos.size() / 4);
   if (!img.combos.empty()) {
     cd.combos_cap = slack_bytes(img.combos.size());
     cd.combos_off = dpu.mram_alloc_reuse(cd.combos_cap, "combos");
-    dpu.host_write(cd.combos_off, img.combos.data(), img.combos.size());
-    bytes += img.combos.size();
+    runs.push_back({cd.combos_off, img.combos.data(), img.combos.size()});
   }
 
   // Only the PIM-naive S0 forms residuals on the DPU; in the UpANNS modes
@@ -303,8 +301,7 @@ DpuClusterData UpAnnsEngine::load_replica(pim::Dpu& dpu, std::uint32_t c,
   if (mode_ == KernelMode::kNaiveRaw) {
     const std::size_t centroid_bytes = index_.dim() * sizeof(float);
     cd.centroid_off = dpu.mram_alloc_reuse(centroid_bytes, "centroid");
-    dpu.host_write(cd.centroid_off, index_.centroid(c), centroid_bytes);
-    bytes += centroid_bytes;
+    runs.push_back({cd.centroid_off, index_.centroid(c), centroid_bytes});
   }
   return cd;
 }
@@ -320,18 +317,39 @@ void UpAnnsEngine::release_replica(pim::Dpu& dpu,
   }
 }
 
-std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
+void UpAnnsEngine::write_runs(pim::Dpu& dpu, const std::vector<MramRun>& runs) {
+  for (const MramRun& r : runs) dpu.host_write(r.off, r.src, r.len);
+}
+
+pim::TransferStats UpAnnsEngine::scatter_charge(
+    const RunLengths& lengths) const {
+  std::vector<std::size_t> free_bytes(options_.n_dpus);
+  for (std::size_t d = 0; d < options_.n_dpus; ++d) {
+    free_bytes[d] = hw::kMramBytes - per_dpu_[d].static_mark;
+  }
+  return pim::TransferEngine::scatter(lengths, free_bytes,
+                                      options_.n_tasklets);
+}
+
+UpAnnsEngine::RunLengths UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
   system_ = std::make_unique<pim::PimSystem>(options_.n_dpus);
   system_->set_metrics(metrics_);  // relocate() rebuilds the system
   per_dpu_.assign(options_.n_dpus, PerDpu{});
 
-  std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
+  // Each DPU's image lands as soon as it is laid out: the system is fresh
+  // and serves nothing until the load returns.
+  RunLengths lengths(options_.n_dpus);
   common::ThreadPool::global().parallel_for(
       0, options_.n_dpus,
       [&](std::size_t d) {
         pim::Dpu& dpu = system_->dpu(d);
         PerDpu& pd = per_dpu_[d];
-        std::uint64_t bytes = 0;
+        std::vector<MramRun> runs;
+        const auto commit = [&] {
+          write_runs(dpu, runs);
+          for (const MramRun& r : runs) lengths[d].push_back(r.len);
+          runs.clear();
+        };
         pd.cluster_slot.assign(index_.n_clusters(), -1);
         pd.layout.dim = index_.dim();
         pd.layout.m = index_.pq_m();
@@ -343,32 +361,34 @@ std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
         if (mode_ == KernelMode::kNaiveRaw) {
           pd.layout.codebook_off =
               dpu.mram_alloc(codebook_q_.size(), "codebook");
-          dpu.host_write(pd.layout.codebook_off, codebook_q_.data(),
-                         codebook_q_.size());
-          bytes += codebook_q_.size();
+          runs.push_back({pd.layout.codebook_off, codebook_q_.data(),
+                          codebook_q_.size()});
           const std::size_t scale_bytes =
               codebook_scales_.size() * sizeof(float);
           pd.layout.cb_scale_off = dpu.mram_alloc(scale_bytes, "cb-scales");
-          dpu.host_write(pd.layout.cb_scale_off, codebook_scales_.data(),
-                         scale_bytes);
-          bytes += scale_bytes;
+          runs.push_back(
+              {pd.layout.cb_scale_off, codebook_scales_.data(), scale_bytes});
         }
 
-        ClusterImage img;
+        ClusterImage img;  // reused per replica, so each commits at once
         for (std::uint32_t c : placement_.dpu_clusters[d]) {
           pd.cluster_slot[c] =
               static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(load_replica(dpu, c, img, bytes));
+          build_cluster_image(c, img);
+          pd.layout.clusters.push_back(load_replica(dpu, c, img, runs));
+          commit();
         }
+        commit();
         pd.static_mark = dpu.mram_mark();
-        dpu_bytes[d] = static_cast<std::size_t>(bytes);
       },
       1);
 
   load_image_bytes_ = 0;
-  for (std::size_t b : dpu_bytes) load_image_bytes_ += b;
+  for (const std::vector<std::size_t>& dpu_lengths : lengths) {
+    for (std::size_t len : dpu_lengths) load_image_bytes_ += len;
+  }
   snapshot_loaded_state();
-  return dpu_bytes;
+  return lengths;
 }
 
 }  // namespace upanns::core

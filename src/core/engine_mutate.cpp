@@ -3,7 +3,9 @@
 // the incremental MRAM delta-sync that replaces a full load_dpus() between
 // serving batches. Only lists whose generation drifted since the last sync
 // are touched, and within a list only the byte ranges that actually changed
-// are pushed — appends write the tail, tombstones write a sentinel run.
+// are pushed — appends write the tail, tombstones write a sentinel run. The
+// whole delta is planned first, priced by pim::TransferEngine::scatter, then
+// written.
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -24,11 +26,10 @@ namespace {
 /// in a big list does not re-push the whole id array.
 constexpr std::size_t kPatchGranule = 256;
 
-/// Write `data` over the DPU bytes at [off, off+size), pushing only the
-/// granule runs that differ. Returns the bytes written.
-std::uint64_t patch_region(pim::Dpu& dpu, std::size_t off,
-                           const std::uint8_t* data, std::size_t size) {
-  std::uint64_t written = 0;
+/// Plan writing `data` over the DPU bytes at [off, off+size): append the
+/// granule runs that differ to `runs`.
+void diff_region(const pim::Dpu& dpu, std::size_t off, const std::uint8_t* data,
+                 std::size_t size, std::vector<UpAnnsEngine::MramRun>& runs) {
   std::size_t pos = 0;
   while (pos < size) {
     const std::size_t len = std::min(kPatchGranule, size - pos);
@@ -43,11 +44,9 @@ std::uint64_t patch_region(pim::Dpu& dpu, std::size_t off,
       if (std::memcmp(dpu.mram_data(off + end), data + end, next) == 0) break;
       end += next;
     }
-    dpu.host_write(off + pos, data + pos, end - pos);
-    written += end - pos;
+    runs.push_back({off + pos, data + pos, end - pos});
     pos = end;
   }
-  return written;
 }
 
 }  // namespace
@@ -111,10 +110,24 @@ UpAnnsEngine::PatchStats UpAnnsEngine::patch_dpus() {
     }
   }
 
-  std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
+  // One image per dirty resident list: its replicas all diff against it,
+  // and the planned runs point into it until the commit.
+  std::vector<ClusterImage> images(dirty.size());
+  common::ThreadPool::global().parallel_for(
+      0, dirty.size(),
+      [&](std::size_t i) {
+        if (!placement_.cluster_dpus[dirty[i]].empty()) {
+          build_cluster_image(dirty[i], images[i]);
+        }
+      },
+      1);
+
+  std::vector<std::vector<MramRun>> runs(options_.n_dpus);
   std::vector<std::size_t> dpu_lists(options_.n_dpus, 0);
   std::vector<std::size_t> dpu_moved(options_.n_dpus, 0);
 
+  // Plan: diff each dirty replica, relocating regions that outgrew their
+  // slack, and update the descriptors. Nothing is written yet.
   common::ThreadPool::global().parallel_for(
       0, options_.n_dpus,
       [&](std::size_t d) {
@@ -134,42 +147,37 @@ UpAnnsEngine::PatchStats UpAnnsEngine::patch_dpus() {
         // re-pushes its scratch against the updated mark.
         dpu.mram_rewind(pd.static_mark);
 
-        // Relocate-or-patch one region; `off`/`cap` update in place.
+        // Relocate-or-diff one region; `off`/`cap` update in place.
         auto sync_region = [&](std::size_t& off, std::size_t& cap,
                                const std::uint8_t* data, std::size_t size,
-                               const char* tag) -> std::uint64_t {
-          if (size == 0) return 0;  // keep any reserved region for later
-          if (size <= cap) return patch_region(dpu, off, data, size);
+                               const char* tag) {
+          if (size == 0) return;  // keep any reserved region for later
+          if (size <= cap) return diff_region(dpu, off, data, size, runs[d]);
           if (cap > 0) dpu.mram_release(off, cap);
           cap = slack_bytes(size);
           off = dpu.mram_alloc_reuse(cap, tag);
-          dpu.host_write(off, data, size);
+          runs[d].push_back({off, data, size});
           ++dpu_moved[d];
-          return size;
         };
 
-        ClusterImage img;
-        std::uint64_t bytes = 0;
-        for (std::uint32_t c : dirty) {
-          const std::int32_t slot = pd.cluster_slot[c];
+        for (std::size_t i = 0; i < dirty.size(); ++i) {
+          const std::int32_t slot = pd.cluster_slot[dirty[i]];
           if (slot < 0) continue;
-          build_cluster_image(c, img);
+          const ClusterImage& img = images[i];
           DpuClusterData& cd = pd.layout.clusters[static_cast<std::size_t>(slot)];
 
-          bytes += sync_region(
-              cd.ids_off, cd.ids_cap,
-              reinterpret_cast<const std::uint8_t*>(img.ids.data()),
-              img.ids.size() * sizeof(std::uint32_t), "ids");
-          bytes += sync_region(
-              cd.stream_off, cd.stream_cap, img.stream.data(),
-              img.stream.size(),
-              mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
-          bytes += sync_region(
+          sync_region(cd.ids_off, cd.ids_cap,
+                      reinterpret_cast<const std::uint8_t*>(img.ids.data()),
+                      img.ids.size() * sizeof(std::uint32_t), "ids");
+          sync_region(cd.stream_off, cd.stream_cap, img.stream.data(),
+                      img.stream.size(),
+                      mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
+          sync_region(
               cd.chunk_index_off, cd.chunk_cap,
               reinterpret_cast<const std::uint8_t*>(img.chunk_index.data()),
               img.chunk_index.size() * sizeof(std::uint32_t), "chunk-index");
-          bytes += sync_region(cd.combos_off, cd.combos_cap, img.combos.data(),
-                               img.combos.size(), "combos");
+          sync_region(cd.combos_off, cd.combos_cap, img.combos.data(),
+                      img.combos.size(), "combos");
 
           // Length/tombstone table update — the host-side mirror of the
           // per-cluster descriptor block a real deployment would push.
@@ -181,19 +189,25 @@ UpAnnsEngine::PatchStats UpAnnsEngine::patch_dpus() {
           ++dpu_lists[d];
         }
         pd.static_mark = dpu.mram_mark();
-        dpu_bytes[d] = static_cast<std::size_t>(bytes);
       },
       1);
 
+  // Price the planned runs, then commit them.
+  RunLengths lengths(options_.n_dpus);
   for (std::size_t d = 0; d < options_.n_dpus; ++d) {
-    stats.bytes_written += dpu_bytes[d];
+    for (const MramRun& r : runs[d]) {
+      lengths[d].push_back(r.len);
+      stats.bytes_written += r.len;
+    }
     stats.lists_patched += dpu_lists[d];
     stats.regions_moved += dpu_moved[d];
   }
-  // Charged like every other host->DPU push: non-uniform per-DPU sizes take
-  // the serialized path (paper Sec 2.2) unless the deltas happen to match.
-  const pim::TransferStats xfer = pim::TransferEngine::batch(dpu_bytes);
+  const pim::TransferStats xfer = scatter_charge(lengths);
   stats.seconds = xfer.seconds;
+  stats.apply_seconds = xfer.apply_seconds;
+  common::ThreadPool::global().parallel_for(
+      0, options_.n_dpus,
+      [&](std::size_t d) { write_runs(system_->dpu(d), runs[d]); }, 1);
 
   patch_bytes_total_ += stats.bytes_written;
   snapshot_loaded_state();

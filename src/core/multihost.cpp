@@ -120,13 +120,17 @@ UpAnnsEngine::PatchStats MultiHostUpAnns::patch_hosts() {
   if (!updatable()) {
     throw std::logic_error("MultiHostUpAnns::patch_hosts: cluster is read-only");
   }
-  // Hosts patch their own MRAM buses concurrently: wall time is the slowest
-  // host's patch, volume counters sum across the fleet.
+  // Hosts patch their own MRAM buses concurrently: wall time (and its
+  // staged-copy share) is the slowest host's patch, volume counters sum
+  // across the fleet.
   UpAnnsEngine::PatchStats total;
   for (auto& engine : engines_) {
     if (!engine) continue;
     const UpAnnsEngine::PatchStats ps = engine->patch_dpus();
-    total.seconds = std::max(total.seconds, ps.seconds);
+    if (ps.seconds > total.seconds) {
+      total.seconds = ps.seconds;
+      total.apply_seconds = ps.apply_seconds;
+    }
     total.bytes_written += ps.bytes_written;
     total.lists_patched += ps.lists_patched;
     total.regions_moved += ps.regions_moved;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+
+#include "core/engine.hpp"
+#include "data/query_workload.hpp"
+#include "mram_writes.hpp"
+#include "obs/metrics.hpp"
 
 namespace upanns::core {
 namespace {
@@ -280,6 +286,128 @@ TEST(Adaptive, BusyBalanceTracksEwma) {
   EXPECT_DOUBLE_EQ(ctl.busy_balance(), 2.0);
   ctl.observe_busy({0, 0, 0, 0});  // all-idle batch reads as ratio 0
   EXPECT_DOUBLE_EQ(ctl.busy_balance(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// The engine's adaptation writes (copy adjustment, relocation) are priced by
+// pim::TransferEngine::scatter over the runs they wrote.
+
+struct EngineFixture {
+  data::Dataset base = data::generate_synthetic(data::sift1b_like(6000, 17));
+  ivf::IvfIndex index = build();
+  ivf::ClusterStats stats;
+
+  ivf::IvfIndex build() {
+    ivf::IvfBuildOptions opts;
+    opts.n_clusters = 24;
+    opts.pq_m = 16;
+    opts.coarse_iters = 5;
+    opts.pq_iters = 4;
+    return ivf::IvfIndex::build(base, opts);
+  }
+
+  EngineFixture() {
+    data::WorkloadSpec spec;
+    spec.n_queries = 64;
+    spec.seed = 3;
+    const data::QueryWorkload wl = data::generate_workload(base, spec);
+    stats = ivf::collect_stats(index, ivf::filter_batch(index, wl.queries, 6));
+  }
+
+  UpAnnsOptions options() const {
+    UpAnnsOptions o = UpAnnsOptions::upanns();
+    o.n_dpus = 16;
+    o.nprobe = 6;
+    o.k = 10;
+    return o;
+  }
+};
+
+EngineFixture& engine_fixture() {
+  static EngineFixture f;
+  return f;
+}
+
+double histogram_sum(const obs::MetricsRegistry& reg, const char* name) {
+  for (const auto& h : reg.snapshot().histograms) {
+    if (h.name == name) return h.sum;
+  }
+  return -1;
+}
+
+TEST(AdaptCharge, CopyAdjustmentIsPricedFromTheReplicasItLoads) {
+  auto& f = engine_fixture();
+  UpAnnsEngine engine(f.index, f.stats, f.options());
+  obs::MetricsRegistry reg;
+  engine.set_metrics(&reg);
+
+  // Add copies of the clusters with the fewest replicas: several DPUs each
+  // load a different image.
+  std::vector<CopyAdjustment> adds;
+  for (std::uint32_t c = 0; c < f.index.n_clusters() && adds.size() < 6; ++c) {
+    if (engine.placement().cluster_dpus[c].size() == 1 &&
+        f.index.list(c).size() > 0) {
+      adds.push_back({c, +2});
+    }
+  }
+  ASSERT_GE(adds.size(), 3u);
+  const test_support::MramSnapshot before = test_support::snapshot(engine);
+  const UpAnnsEngine::AdaptStats as =
+      engine.apply_copy_adjustments(adds, f.stats.frequencies);
+  ASSERT_GT(as.replicas_added, 0u);
+
+  const test_support::RunLengths runs = test_support::load_runs(engine, before);
+  std::size_t bytes = 0;
+  for (const auto& r : runs) {
+    for (std::size_t len : r) bytes += len;
+  }
+  EXPECT_EQ(as.bytes_written, bytes);
+  const pim::TransferStats planned = test_support::scatter_charge(engine, runs);
+  EXPECT_EQ(as.seconds, planned.seconds);
+  EXPECT_EQ(as.apply_seconds, planned.apply_seconds);
+  EXPECT_GT(as.apply_seconds, 0.0);
+  EXPECT_LT(as.seconds, test_support::direct_charge(runs).seconds);
+  EXPECT_EQ(histogram_sum(reg, "transfer.adapt.apply_seconds"),
+            as.apply_seconds);
+
+  // A pure retire ships nothing and costs nothing.
+  const UpAnnsEngine::AdaptStats retired = engine.apply_copy_adjustments(
+      {{adds[0].cluster, -1}}, f.stats.frequencies);
+  EXPECT_EQ(retired.replicas_retired, 1u);
+  EXPECT_EQ(retired.seconds, 0.0);
+  EXPECT_EQ(retired.apply_seconds, 0.0);
+}
+
+TEST(AdaptCharge, RelocationIsPricedFromTheFullReload) {
+  auto& f = engine_fixture();
+  UpAnnsEngine engine(f.index, f.stats, f.options());
+  obs::MetricsRegistry reg;
+  engine.set_metrics(&reg);
+
+  ivf::ClusterStats flat = f.stats;
+  std::fill(flat.frequencies.begin(), flat.frequencies.end(),
+            1.0 / static_cast<double>(flat.frequencies.size()));
+  for (std::size_t c = 0; c < flat.workloads.size(); ++c) {
+    flat.workloads[c] = static_cast<double>(flat.sizes[c]) * flat.frequencies[c];
+  }
+  const UpAnnsEngine::PatchStats ps = engine.relocate(flat);
+
+  const test_support::RunLengths runs =
+      test_support::load_runs(engine, test_support::MramSnapshot{});
+  std::size_t bytes = 0;
+  for (const auto& r : runs) {
+    for (std::size_t len : r) bytes += len;
+  }
+  EXPECT_EQ(ps.bytes_written, bytes);
+  EXPECT_EQ(engine.load_image_bytes(), bytes);
+  const pim::TransferStats planned = test_support::scatter_charge(engine, runs);
+  EXPECT_EQ(ps.seconds, planned.seconds);
+  EXPECT_EQ(ps.apply_seconds, planned.apply_seconds);
+  EXPECT_GT(ps.apply_seconds, 0.0);
+  EXPECT_LT(ps.seconds, test_support::direct_charge(runs).seconds);
+  EXPECT_EQ(reg.counter("transfer.relocate.uniform").value(), 1u);
+  EXPECT_EQ(histogram_sum(reg, "transfer.relocate.apply_seconds"),
+            ps.apply_seconds);
 }
 
 }  // namespace

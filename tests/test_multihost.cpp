@@ -7,6 +7,7 @@
 #include "core/backend.hpp"
 #include "core/pipeline.hpp"
 #include "data/query_workload.hpp"
+#include "mram_writes.hpp"
 #include "obs/report_json.hpp"
 
 namespace upanns::core {
@@ -400,6 +401,46 @@ TEST(MultiHostPipeline, AdaptFiresAndPreservesNeighbors) {
     serial += slot.report.seconds + slot.patch_seconds + slot.adapt_seconds;
   }
   EXPECT_NEAR(on_run.serial_seconds, serial, 1e-12);
+}
+
+TEST(MultiHost, PatchSecondsAreTheSlowestHostsPlannerCharge) {
+  // Every host prices its own delta with the scatter planner; hosts patch
+  // their MRAM buses concurrently, so the cluster's patch takes the
+  // slowest host's charge.
+  auto& f = fixture();
+  ivf::IvfIndex mut = f.index;
+  MultiHostUpAnns cluster(mut, f.stats, f.opts(3));
+  ASSERT_TRUE(cluster.updatable());
+
+  for (std::uint32_t c = 0; c < mut.n_clusters(); c += 3) {
+    if (mut.list(c).size() == 0) continue;
+    const std::uint32_t id = mut.list(c).ids[0];
+    ASSERT_EQ(cluster.remove({&id, 1}), 1u);
+  }
+  cluster.compact(0.0);
+
+  std::vector<test_support::MramSnapshot> before(cluster.n_hosts());
+  for (std::size_t h = 0; h < cluster.n_hosts(); ++h) {
+    if (cluster.host_active(h)) {
+      before[h] = test_support::snapshot(cluster.host_engine(h));
+    }
+  }
+  const UpAnnsEngine::PatchStats ps = cluster.patch_hosts();
+
+  pim::TransferStats slowest;
+  std::size_t patched_hosts = 0;
+  for (std::size_t h = 0; h < cluster.n_hosts(); ++h) {
+    if (!cluster.host_active(h)) continue;
+    UpAnnsEngine& engine = cluster.host_engine(h);
+    const pim::TransferStats planned = test_support::scatter_charge(
+        engine, test_support::patch_runs(engine, before[h]));
+    patched_hosts += planned.seconds > 0 ? 1 : 0;
+    if (planned.seconds > slowest.seconds) slowest = planned;
+  }
+  EXPECT_GE(patched_hosts, 2u);
+  EXPECT_GT(ps.seconds, 0.0);
+  EXPECT_EQ(ps.seconds, slowest.seconds);
+  EXPECT_EQ(ps.apply_seconds, slowest.apply_seconds);
 }
 
 TEST(MultiHostBackend, ServesThroughCommonInterface) {

@@ -15,7 +15,9 @@
 //  * MRAM region reuse: released list regions are recycled first-fit and
 //    survive scratch rewinds;
 //  * relocate()/ClusterStats on a mutated index: the replica layout reflects
-//    post-insert list sizes.
+//    post-insert list sizes;
+//  * patch charge: a patch is priced by pim::TransferEngine::scatter over
+//    the runs it wrote.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -31,6 +33,8 @@
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
 #include "ivf/ivf_index.hpp"
+#include "mram_writes.hpp"
+#include "obs/metrics.hpp"
 #include "pim/dpu.hpp"
 #include "replica_images.hpp"
 
@@ -393,6 +397,107 @@ TEST(Incrementality, OnePercentUpdatePatchesUnderTenPercentOfImage) {
   const auto again = engine.patch_dpus();
   EXPECT_EQ(again.bytes_written, 0u);
   EXPECT_EQ(engine.patch_bytes_total(), ps.bytes_written);
+}
+
+TEST(PatchCharge, CompactingAReplicatedListStagesItsDelta) {
+  // Compacting a hot list rewrites most of every replica's image. With a
+  // second list compacted too, the DPUs' deltas differ: the direct push
+  // would serialize at 0.35 GB/s, the staged plan pushes one padded uniform
+  // buffer and copies into place on the DPUs.
+  auto& f = fixture();
+  ivf::IvfIndex mut = f.index;
+  core::UpAnnsOptions opts = f.options();
+  opts.n_dpus = 16;
+  core::UpAnnsEngine engine(mut, f.stats, opts);
+  obs::MetricsRegistry reg;
+  engine.set_metrics(&reg);
+
+  std::uint32_t hot = 0;
+  for (std::uint32_t c = 0; c < mut.n_clusters(); ++c) {
+    if (engine.placement().cluster_dpus[c].size() >
+        engine.placement().cluster_dpus[hot].size()) {
+      hot = c;
+    }
+  }
+  ASSERT_GE(engine.placement().cluster_dpus[hot].size(), 4u);
+
+  const std::uint32_t other = hot == 0 ? 1 : 0;
+  ASSERT_FALSE(engine.placement().cluster_dpus[other].empty());
+
+  // Dropping a list's first record shifts every later one.
+  for (std::uint32_t c : {hot, other}) {
+    const std::uint32_t id = mut.list(c).ids[0];
+    ASSERT_EQ(engine.remove({&id, 1}), 1u);
+  }
+  ASSERT_EQ(engine.compact(0.0), 2u);
+  const core::test_support::MramSnapshot before =
+      core::test_support::snapshot(engine);
+  const auto ps = engine.patch_dpus();
+
+  const core::test_support::RunLengths runs =
+      core::test_support::patch_runs(engine, before);
+  std::size_t bytes = 0, dpus = 0;
+  for (const auto& r : runs) {
+    for (std::size_t len : r) bytes += len;
+    dpus += r.empty() ? 0 : 1;
+  }
+  EXPECT_GE(dpus, engine.placement().cluster_dpus[hot].size());
+  EXPECT_EQ(ps.bytes_written, bytes);
+  const pim::TransferStats planned =
+      core::test_support::scatter_charge(engine, runs);
+  const pim::TransferStats direct = core::test_support::direct_charge(runs);
+  EXPECT_EQ(ps.seconds, planned.seconds);
+  EXPECT_EQ(ps.apply_seconds, planned.apply_seconds);
+  EXPECT_GT(ps.apply_seconds, 0.0);
+  EXPECT_FALSE(direct.parallel);
+  EXPECT_LT(ps.seconds, direct.seconds);
+
+  // The staged plan is booked as a uniform transfer with its copy time.
+  EXPECT_EQ(reg.counter("transfer.patch.uniform").value(), 1u);
+  EXPECT_EQ(reg.counter("transfer.patch.serial").value(), 0u);
+  bool apply_booked = false;
+  for (const auto& h : reg.snapshot().histograms) {
+    if (h.name == "transfer.patch.apply_seconds") {
+      apply_booked = h.count == 1 && h.sum == ps.apply_seconds;
+    }
+  }
+  EXPECT_TRUE(apply_booked);
+}
+
+TEST(PatchCharge, AppendPatchIsPricedFromItsRuns) {
+  // Inserts and removes spread over many lists: whichever plan wins, the
+  // patch reports the planner's charge for exactly the runs it wrote.
+  auto& f = fixture();
+  ivf::IvfIndex mut = f.index;
+  core::UpAnnsOptions opts = f.options();
+  opts.opt_cae = false;
+  core::UpAnnsEngine engine(mut, f.stats, opts);
+
+  common::Rng rng(91);
+  std::vector<std::uint32_t> ids;
+  std::vector<float> flat;
+  std::uint32_t next_id = static_cast<std::uint32_t>(f.base.n);
+  for (int i = 0; i < 2000; ++i) {  // enough to outgrow some slack
+    const std::vector<float> v = perturbed_row(f, rng);
+    ids.push_back(next_id++);
+    flat.insert(flat.end(), v.begin(), v.end());
+  }
+  engine.upsert(ids, flat);
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t id = 0; id < 50; ++id) dead.push_back(id * 13);
+  EXPECT_EQ(engine.remove(dead), dead.size());
+
+  const core::test_support::MramSnapshot before =
+      core::test_support::snapshot(engine);
+  const auto ps = engine.patch_dpus();
+  EXPECT_GT(ps.regions_moved, 0u);
+  const core::test_support::RunLengths runs =
+      core::test_support::patch_runs(engine, before);
+  const pim::TransferStats planned =
+      core::test_support::scatter_charge(engine, runs);
+  EXPECT_EQ(ps.seconds, planned.seconds);
+  EXPECT_EQ(ps.apply_seconds, planned.apply_seconds);
+  EXPECT_LE(ps.seconds, core::test_support::direct_charge(runs).seconds);
 }
 
 // ---------------------------------------------------------------------------
