@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/stats.hpp"
+#include "core/placement.hpp"
 
 namespace upanns::core {
 
@@ -123,7 +125,8 @@ double AdaptiveController::drift() const {
 AdaptReport AdaptiveController::recommend(
     const std::vector<std::size_t>& cluster_sizes,
     const std::vector<std::size_t>& current_copies,
-    double avg_dpu_workload, bool allow_relocate) const {
+    double avg_dpu_workload, bool allow_relocate,
+    const WorkloadModel& model) const {
   assert(cluster_sizes.size() == n_clusters_);
   assert(current_copies.size() == n_clusters_);
   AdaptReport report;
@@ -135,18 +138,17 @@ AdaptReport AdaptiveController::recommend(
   }
 
   // Desired replica counts under the *short-memory* traffic profile:
-  // Algorithm 1's ncpy = ceil(s_i * f_i / W-bar) recomputed with the window
-  // mean, so a hot set that already rolled out of the window stops holding
+  // Algorithm 1's ncpy = ceil(W_i / W-bar) recomputed with the window mean,
+  // so a hot set that already rolled out of the window stops holding
   // replicas (the long-memory EWMA only gates whether acting is worth it).
   const std::vector<double> freq = window_mean();
   std::size_t changed = 0;
   std::size_t replicated_total = 0;
   for (std::size_t c = 0; c < n_clusters_; ++c) {
     if (cluster_sizes[c] == 0) continue;
-    const double w = static_cast<double>(cluster_sizes[c]) * freq[c];
-    const std::size_t want = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(w / std::max(avg_dpu_workload, 1e-30))));
+    const std::size_t want = WorkloadModel::replicas(
+        model.cluster(cluster_sizes[c], freq[c]), avg_dpu_workload,
+        std::numeric_limits<std::size_t>::max());
     replicated_total += current_copies[c];
     if (want != current_copies[c]) {
       report.adjustments.push_back(
@@ -169,6 +171,20 @@ AdaptReport AdaptiveController::recommend(
     report.adjustments.clear();
   }
   return report;
+}
+
+AdaptReport AdaptiveController::recommend_for(
+    const Placement& placement, const std::vector<std::size_t>& cluster_sizes,
+    const WorkloadModel& model, bool allow_relocate) const {
+  std::vector<std::size_t> copies(cluster_sizes.size(), 0);
+  std::vector<std::size_t> resident_sizes = cluster_sizes;
+  for (std::size_t c = 0; c < cluster_sizes.size(); ++c) {
+    copies[c] = placement.cluster_dpus[c].size();
+    if (copies[c] == 0) resident_sizes[c] = 0;
+  }
+  const double w_bar =
+      model.average(resident_sizes, window_mean(), placement.n_dpus());
+  return recommend(resident_sizes, copies, w_bar, allow_relocate, model);
 }
 
 }  // namespace upanns::core

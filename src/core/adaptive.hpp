@@ -15,9 +15,12 @@
 #include <string_view>
 #include <vector>
 
+#include "core/workload_model.hpp"
 #include "ivf/cluster_stats.hpp"
 
 namespace upanns::core {
+
+struct Placement;
 
 enum class AdaptAction {
   kNone,        ///< placement still matches the traffic
@@ -97,13 +100,24 @@ class AdaptiveController {
   double busy_balance() const { return busy_balance_; }
 
   /// Decide what to do given the average per-DPU workload target and current
-  /// per-cluster replica counts/sizes. With allow_relocate false (AdaptMode
-  /// kCopies) major drift degrades to an adjust-copies recommendation
-  /// instead of a relocation.
+  /// per-cluster replica counts/sizes; each cluster wants Algorithm 1's
+  /// ncpy under `model` (WorkloadModel::replicas). With allow_relocate false
+  /// (AdaptMode kCopies) major drift degrades to an adjust-copies
+  /// recommendation instead of a relocation.
   AdaptReport recommend(const std::vector<std::size_t>& cluster_sizes,
                         const std::vector<std::size_t>& current_copies,
-                        double avg_dpu_workload,
-                        bool allow_relocate = true) const;
+                        double avg_dpu_workload, bool allow_relocate = true,
+                        const WorkloadModel& model = {}) const;
+
+  /// recommend() for one engine's placement, as the serving pipelines call
+  /// it: copies are the placement's replica counts, clusters with no
+  /// resident replica are masked to size 0 (adopting one online would
+  /// change the searchable set, or take another host's shard), and W-bar is
+  /// `model`'s average over the placement's DPUs under window_mean().
+  AdaptReport recommend_for(const Placement& placement,
+                            const std::vector<std::size_t>& cluster_sizes,
+                            const WorkloadModel& model,
+                            bool allow_relocate) const;
 
   std::size_t batches_observed() const { return batches_observed_; }
 

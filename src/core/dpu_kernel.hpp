@@ -15,8 +15,9 @@
 //       token; thread-local bounded max-heaps keep the k smallest keys
 //                                                       [Barrier 3]
 //   S5  per query, after its last assignment: pruned merge of the
-//       thread-local heaps into the DPU top-k heap, then the k results
-//       convert to distances U * key and go to MRAM     [Barrier 0]
+//       thread-local heaps into the DPU top-k heap, then the k (key, id)
+//       results go to MRAM; the host converts a gathered key to the
+//       distance U * key                                [Barrier 0]
 //
 // kNaiveRaw is the paper's PIM-naive baseline and keeps the per-pair LUT:
 //   S0  float LUT |r_s - y_sj|^2 from the int8 codebook (tasklets split the
@@ -42,8 +43,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/simd_dispatch.hpp"
 #include "common/topk.hpp"
 #include "core/cae.hpp"
+#include "core/workload_model.hpp"
 #include "pim/dpu.hpp"
 
 namespace upanns::core {
@@ -161,8 +164,8 @@ class KeyCodec {
                     std::vector<std::uint32_t>& out) const;
 
   /// The pair term a push carries with an assignment: round((|q - c|^2 +
-  /// o_q) / U) + nu_c, clamped to +-2^30. Folding o_q here leaves S5 one
-  /// multiply.
+  /// o_q) / U) + nu_c, clamped to +-2^30. Folding o_q here leaves one
+  /// multiply per gathered result (the host's U * key).
   std::int32_t pair_key(float coarse_dist, double query_offset,
                         std::size_t c) const;
 
@@ -178,6 +181,12 @@ class KeyCodec {
   std::vector<std::int32_t> norm_offsets_;  ///< nu_c per cluster
   double unit_ = 1.0;
 };
+
+/// The distance U * key of a gathered UpANNS key, formed on the host
+/// (GatherStage): the DPU has no FPU, so S5 ships the raw keys.
+inline float key_distance(std::int32_t key, double unit) {
+  return static_cast<float>(unit * static_cast<double>(key));
+}
 
 /// The UpANNS record stream of an encoded cluster: every [len][tokens]
 /// record of `enc` with its norm term spliced into the header
@@ -196,6 +205,27 @@ inline std::size_t query_row_bytes(const DpuStaticLayout& layout,
              ? layout.dim * sizeof(float)
              : layout.m * 256 * sizeof(std::uint16_t);
 }
+
+/// The WorkloadModel the UpANNS kernels are charged under, in DPU cycles
+/// (DESIGN.md §4), for a build of `n_dpus` DPUs at `n_tasklets`, top-`k`,
+/// PQ width `m`, the build's CAE `length_reduction` and the stream read
+/// granularity `mram_read_vectors` (0: one maximal DMA per chunk):
+///  * per_record: the scan's kInstrRecordOverhead + tokens * kInstrTokenScan
+///    issue slots, tokens = m * (1 - length_reduction), plus the record's
+///    share of its chunk's id and stream DMAs;
+///  * per_query: one query row of the padded uniform push and one k * 8 B
+///    result row of the gather, each across n_dpus at the parallel host
+///    bandwidth; the S0 table DMA of the tasklets' slices; and S5 with full
+///    tasklet heaps (heapsorts, k global pushes and one pruning compare per
+///    further tasklet under the semaphore, the result write) — each phase
+///    priced by DpuCostModel::phase_cost plus its barrier.
+/// kNaiveRaw returns the per-record-only default: PIM-naive keeps the
+/// paper's random placement and naive schedule.
+WorkloadModel kernel_workload_model(KernelMode mode, std::size_t m,
+                                    std::size_t k, std::size_t n_dpus,
+                                    unsigned n_tasklets,
+                                    double length_reduction,
+                                    std::size_t mram_read_vectors);
 
 /// Per-launch inputs, already pushed to the DPU by the host. Local query i's
 /// row (query_row_bytes) is row i of the DPU's host-mirrored batch region:
@@ -347,6 +377,8 @@ class QueryKernel final : public pim::DpuKernel {
   // setup(). All of it keeps capacity across launches.
   KernelScratch scratch_;
   float lut_scale_ = 1.f;
+  /// Host SIMD level of the functional scan, read once per launch.
+  common::SimdLevel simd_ = common::SimdLevel::kScalar;
   std::vector<KeyHeap> local_heaps_;
   KeyHeap global_heap_;
 

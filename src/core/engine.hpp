@@ -144,6 +144,10 @@ class UpAnnsEngine {
   obs::SpanLog* spans() const { return spans_; }
 
   const Placement& placement() const { return placement_; }
+  /// The cluster-workload model placement, scheduling and adaptation
+  /// balance (kernel_workload_model of this build; the per-record-only
+  /// default in kNaiveRaw). Fixed at build.
+  const WorkloadModel& workload_model() const { return workload_model_; }
   const ivf::IvfIndex& index() const { return index_; }
   pim::PimSystem& system() { return *system_; }
 
@@ -169,6 +173,11 @@ class UpAnnsEngine {
   /// full image, seconds its scatter charge; callers that relocate
   /// between workloads may ignore it.
   PatchStats relocate(const ivf::ClusterStats& stats);
+  /// relocate() under another workload model, which later schedules and
+  /// adaptations then balance too — e.g. the paper's per-record-only
+  /// WorkloadModel{} next to the derived one (Fig 11, test_workload_model).
+  PatchStats relocate(const ivf::ClusterStats& stats,
+                      const WorkloadModel& model);
 
   /// Result of one apply_copy_adjustments() pass. Retires are host-side
   /// bookkeeping (regions return to the MRAM free list) and cost nothing;
@@ -300,6 +309,7 @@ class UpAnnsEngine {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanLog* spans_ = nullptr;
   Placement placement_;
+  WorkloadModel workload_model_;
   std::vector<double> placement_frequencies_;
   std::unique_ptr<pim::PimSystem> system_;
   std::vector<PerDpu> per_dpu_;

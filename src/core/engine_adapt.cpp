@@ -28,7 +28,7 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
   const std::vector<std::size_t> sizes = index_.list_sizes();
   const std::vector<CopyDelta> deltas = adjust_replicas(
       placement_, index_, adjustments, sizes, frequencies,
-      options_.placement);
+      options_.placement, workload_model_);
   if (deltas.empty()) return stats;
 
   // New replicas are built from the shared encodings; pending mutations for

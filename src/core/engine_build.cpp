@@ -75,9 +75,16 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
       total_records > 0 ? weighted_reduction / static_cast<double>(total_records)
                         : 0;
 
+  // --- The cluster-workload model Algorithms 1 and 2 balance, from the
+  // charges of this build's kernel (DESIGN.md §4).
+  workload_model_ = kernel_workload_model(
+      mode_, m, options_.k, options_.n_dpus, options_.n_tasklets,
+      build_length_reduction_, options_.mram_read_vectors);
+
   // --- Place and load.
   placement_ = options_.opt_placement
-                   ? place_clusters(index_, stats, options_.placement)
+                   ? place_clusters(index_, stats, options_.placement,
+                                    workload_model_)
                    : place_random(index_, stats, options_.placement,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
@@ -115,6 +122,12 @@ void UpAnnsEngine::set_metrics(obs::MetricsRegistry* registry) {
   if (system_) system_->set_metrics(registry);
 }
 
+UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats,
+                                                const WorkloadModel& model) {
+  workload_model_ = model;
+  return relocate(stats);
+}
+
 UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) {
   // A relocate rebuilds every MRAM image from the shared encodings, so any
   // pending index mutations must land in the encodings first.
@@ -124,7 +137,8 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
     }
   }
   placement_ = options_.opt_placement
-                   ? place_clusters(index_, stats, options_.placement)
+                   ? place_clusters(index_, stats, options_.placement,
+                                    workload_model_)
                    : place_random(index_, stats, options_.placement,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);

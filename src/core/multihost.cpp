@@ -539,26 +539,15 @@ void MultiHostBatchPipeline::observe_and_decide(
   for (std::size_t h = 0; h < adapt_.size(); ++h) {
     HostAdapt& ha = adapt_[h];
     if (!ha.controller) continue;
-    const Placement& placement = cluster_.host_engine(h).placement();
-    std::vector<std::size_t> copies(sizes.size(), 0);
-    std::vector<std::size_t> resident_sizes = sizes;
-    const std::vector<double> freqs = ha.controller->window_mean();
-    double total_workload = 0;
-    for (std::size_t c = 0; c < sizes.size(); ++c) {
-      copies[c] = placement.cluster_dpus[c].size();
-      // Foreign and never-placed clusters have no resident replica here;
-      // masking them to size 0 keeps each host inside its own shard.
-      if (copies[c] == 0) resident_sizes[c] = 0;
-      total_workload += static_cast<double>(resident_sizes[c]) * freqs[c];
-    }
-    const double w_bar =
-        total_workload / static_cast<double>(placement.n_dpus());
-    AdaptReport rep = ha.controller->recommend(
-        resident_sizes, copies, w_bar,
+    const UpAnnsEngine& engine = cluster_.host_engine(h);
+    // Foreign and never-placed clusters have no resident replica here, so
+    // recommend_for keeps each host inside its own shard.
+    AdaptReport rep = ha.controller->recommend_for(
+        engine.placement(), sizes, engine.workload_model(),
         /*allow_relocate=*/opts_.adapt == AdaptMode::kFull);
     if (rep.action == AdaptAction::kNone) continue;
     ha.pending = std::move(rep);
-    ha.pending_freqs = freqs;
+    ha.pending_freqs = ha.controller->window_mean();
   }
 }
 

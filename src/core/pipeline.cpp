@@ -76,7 +76,8 @@ double ScheduleStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const std::vector<std::size_t> sizes = pl.index().list_sizes();
   ctx.sched =
       pl.options().opt_scheduling
-          ? schedule_queries(*ctx.probes, pl.placement(), sizes, pl.sink())
+          ? schedule_queries(*ctx.probes, pl.placement(), sizes,
+                             pl.engine().workload_model(), pl.sink())
           : schedule_naive(*ctx.probes, pl.placement(), sizes, pl.sink());
   const double seconds =
       static_cast<double>(ctx.sched.total_assignments()) * 16.0 / hw::kCpuFlops;
@@ -114,6 +115,7 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
                        : (pl.index().pq_m() + kRecordHeaderElems) *
                              sizeof(std::uint16_t));
 
+  const quant::L2SqFn l2 = quant::l2_sq_fn();  // once per batch
   common::ThreadPool::global().parallel_for(
       0, ndpu,
       [&](std::size_t d) {
@@ -138,8 +140,8 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
             // The coarse distance with the filter's own routine, so probe
             // lists supplied from outside key identically.
             item.pair_key = pl.key_codec().pair_key(
-                quant::l2_sq(queries.row(a.query),
-                             pl.index().centroid(a.cluster), queries.dim),
+                l2(queries.row(a.query), pl.index().centroid(a.cluster),
+                   queries.dim),
                 ctx.query_offsets[a.query], a.cluster);
           }
           in.items.push_back(item);
@@ -161,6 +163,15 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
 
   std::size_t max_bytes = 0;
   for (std::size_t b : ctx.push_bytes) max_bytes = std::max(max_bytes, b);
+  if (pl.sink().enabled()) {
+    // The row count that sets the padded push: a DPU serving most of the
+    // batch's queries pads every other DPU's buffer to its rows.
+    std::size_t max_rows = 0;
+    for (const DpuLaunchInput& in : ctx.inputs) {
+      max_rows = std::max(max_rows, in.query_rows.size());
+    }
+    pl.sink().set("pim.push.max_rows", static_cast<double>(max_rows));
+  }
   pim::TransferStats ts;
   if (pl.options().opt_scheduling) {
     ts = pim::TransferEngine::uniform(ndpu, max_bytes);
@@ -260,6 +271,7 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
     const DpuLaunchInput& in = ctx.inputs[slowest];
     const auto& crit = px.dpu_stage_seconds[slowest];
     obs::MetricsSink s = pl.sink();
+    s.set("pim.critical.dpu", static_cast<double>(slowest));
     s.set("pim.critical.assignments", static_cast<double>(in.items.size()));
     s.set("pim.critical.unique_queries",
           static_cast<double>(in.query_rows.size()));
@@ -291,6 +303,10 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const std::size_t ndpu = pl.options().n_dpus;
   PimExtras& px = *ctx.report.pim;
 
+  // UpANNS slots carry i32 keys, converted here (key_distance); kNaiveRaw
+  // slots already carry float bits.
+  const bool keyed = pl.mode() != KernelMode::kNaiveRaw;
+  const double unit = keyed ? pl.key_codec().unit() : 1.0;
   ctx.per_query_lists.assign(nq, {});
   ctx.max_gather = 0;
   for (std::size_t d = 0; d < ndpu; ++d) {
@@ -307,7 +323,11 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
         const std::uint32_t id = packed[2 * j + 1];
         if (bits == 0xFFFFFFFFu && id == 0xFFFFFFFFu) break;  // unused slot
         float dist;
-        std::memcpy(&dist, &bits, sizeof(dist));
+        if (keyed) {
+          dist = key_distance(static_cast<std::int32_t>(bits), unit);
+        } else {
+          std::memcpy(&dist, &bits, sizeof(dist));
+        }
         list.push_back({dist, id});
       }
       ctx.per_query_lists[in.query_rows[i]].push_back(std::move(list));
@@ -593,29 +613,13 @@ void BatchStream::observe_and_decide(
   if (pending_.action != AdaptAction::kNone) return;  // awaiting drain point
   if (observed_since_action_ < opts_.adaptive.window_batches) return;
 
-  const std::vector<std::size_t> sizes = engine_.index().list_sizes();
-  const Placement& placement = engine_.placement();
-  std::vector<std::size_t> copies(sizes.size(), 0);
-  std::vector<std::size_t> resident_sizes = sizes;
-  double total_workload = 0;
-  const std::vector<double> freqs = adapt_->window_mean();
-  for (std::size_t c = 0; c < sizes.size(); ++c) {
-    copies[c] = placement.cluster_dpus[c].size();
-    // Only clusters with a resident replica participate: adopting a
-    // never-placed cluster online would change the searchable set (and in a
-    // multi-host shard would steal another host's clusters).
-    if (copies[c] == 0) resident_sizes[c] = 0;
-    total_workload += static_cast<double>(resident_sizes[c]) * freqs[c];
-  }
-  const double w_bar =
-      total_workload / static_cast<double>(placement.n_dpus());
-
-  AdaptReport rep =
-      adapt_->recommend(resident_sizes, copies, w_bar,
-                        /*allow_relocate=*/opts_.adapt == AdaptMode::kFull);
+  AdaptReport rep = adapt_->recommend_for(
+      engine_.placement(), engine_.index().list_sizes(),
+      engine_.workload_model(),
+      /*allow_relocate=*/opts_.adapt == AdaptMode::kFull);
   if (rep.action == AdaptAction::kNone) return;
   pending_ = std::move(rep);
-  pending_freqs_ = freqs;
+  pending_freqs_ = adapt_->window_mean();
 }
 
 BatchPipelineReport BatchStream::finish() {

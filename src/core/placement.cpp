@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -27,6 +26,7 @@ std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
 
   // Greedy chain: start at cluster 0, repeatedly hop to the nearest unused
   // centroid. O(nc^2) — fine for the few thousand clusters IVF uses.
+  const quant::L2SqFn l2 = quant::l2_sq_fn();
   std::uint32_t cur = 0;
   used[0] = true;
   order.push_back(0);
@@ -36,7 +36,7 @@ std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
     float best_d = std::numeric_limits<float>::infinity();
     for (std::size_t c = 0; c < nc; ++c) {
       if (used[c]) continue;
-      const float d = quant::l2_sq(cv, index.centroid(c), index.dim());
+      const float d = l2(cv, index.centroid(c), index.dim());
       if (d < best_d) {
         best_d = d;
         best = static_cast<std::uint32_t>(c);
@@ -65,14 +65,24 @@ std::size_t derive_max_dpu_vectors(const ivf::IvfIndex& index,
 
 Placement place_clusters(const ivf::IvfIndex& index,
                          const ivf::ClusterStats& stats,
-                         const PlacementOptions& opts) {
+                         const PlacementOptions& opts,
+                         const WorkloadModel& model) {
   const std::size_t ndpu = opts.n_dpus;
   if (ndpu == 0) throw std::invalid_argument("place_clusters: n_dpus == 0");
   const std::size_t nc = index.n_clusters();
   const std::size_t max_vecs = derive_max_dpu_vectors(index, opts);
-  const double w_bar =
-      std::max(stats.average_workload(ndpu),
-               std::numeric_limits<double>::min());
+  const double w_bar = std::max(
+      model.average(stats.sizes, stats.frequencies, ndpu),
+      std::numeric_limits<double>::min());
+  // The paper's per-record workload stays a second constraint: `model`
+  // prices the simulated scale, where a query's fixed costs can outweigh
+  // hundreds of records, while at 1B points the scan dominates and only
+  // record balance counts. Under the default model both coincide.
+  const WorkloadModel records;
+  const double r_bar = std::max(
+      records.average(stats.sizes, stats.frequencies, ndpu),
+      std::numeric_limits<double>::min());
+  std::vector<double> dpu_records(ndpu, 0.0);
 
   Placement out;
   out.cluster_dpus.resize(nc);
@@ -87,15 +97,17 @@ Placement place_clusters(const ivf::IvfIndex& index,
   std::size_t d_id = 0;  // persistent cursor across clusters (Algorithm 1)
   for (std::uint32_t c : order) {
     if (stats.sizes[c] == 0) continue;
-    const double w_total = stats.workloads[c];
+    const double w_total = model.cluster(stats.sizes[c], stats.frequencies[c]);
+    const double r_total =
+        records.cluster(stats.sizes[c], stats.frequencies[c]);
 
-    // ncpy = ceil(s_i * f_i / W-bar), at least 1 (Line 2).
-    std::size_t ncpy =
-        std::max<std::size_t>(1, static_cast<std::size_t>(
-                                     std::ceil(w_total / w_bar)));
-    ncpy = std::min(ncpy, ndpu);
+    // ncpy = ceil(W_i / W-bar), at least 1 (Line 2), under whichever of the
+    // two workloads asks for more copies.
+    std::size_t ncpy = std::max(WorkloadModel::replicas(w_total, w_bar, ndpu),
+                                WorkloadModel::replicas(r_total, r_bar, ndpu));
     if (opts.max_replicas > 0) ncpy = std::min(ncpy, opts.max_replicas);
     const double w_i = w_total / static_cast<double>(ncpy);  // Line 3
+    const double r_i = r_total / static_cast<double>(ncpy);
 
     double thld = 1.0;
     std::size_t count = 0;
@@ -105,13 +117,15 @@ Placement place_clusters(const ivf::IvfIndex& index,
           std::find(out.cluster_dpus[c].begin(), out.cluster_dpus[c].end(),
                     static_cast<std::uint32_t>(d_id)) !=
           out.cluster_dpus[c].end();
-      const bool fits_load = out.dpu_workload[d_id] + w_i <= w_bar * thld;
+      const bool fits_load = out.dpu_workload[d_id] + w_i <= w_bar * thld &&
+                             dpu_records[d_id] + r_i <= r_bar * thld;
       const bool fits_mem =
           out.dpu_vectors[d_id] + stats.sizes[c] <= max_vecs;
       if (!already_here && fits_load && fits_mem) {
         out.cluster_dpus[c].push_back(static_cast<std::uint32_t>(d_id));
         out.dpu_clusters[d_id].push_back(c);
         out.dpu_workload[d_id] += w_i;
+        dpu_records[d_id] += r_i;
         out.dpu_vectors[d_id] += stats.sizes[c];
         ++out.total_replicas;
         --remaining;
@@ -160,7 +174,8 @@ std::vector<CopyDelta> adjust_replicas(
     Placement& placement, const ivf::IvfIndex& index,
     const std::vector<CopyAdjustment>& adjustments,
     const std::vector<std::size_t>& cluster_sizes,
-    const std::vector<double>& frequencies, const PlacementOptions& opts) {
+    const std::vector<double>& frequencies, const PlacementOptions& opts,
+    const WorkloadModel& model) {
   const std::size_t ndpu = placement.n_dpus();
   if (ndpu == 0) throw std::invalid_argument("adjust_replicas: empty placement");
   const std::size_t max_vecs = derive_max_dpu_vectors(index, opts);
@@ -185,8 +200,7 @@ std::vector<CopyDelta> adjust_replicas(
     // the fresh per-replica value once the holder set is final. dpu_workload
     // stays advisory (Alg-2 re-balances per batch), so re-basing only the
     // touched cluster on the new frequencies is sufficient.
-    const double w_total =
-        static_cast<double>(cluster_sizes[c]) * frequencies[c];
+    const double w_total = model.cluster(cluster_sizes[c], frequencies[c]);
     const double old_share = w_total / static_cast<double>(old_ncpy);
     for (std::uint32_t d : holders) placement.dpu_workload[d] -= old_share;
 

@@ -1,7 +1,9 @@
 // Opt1 (offline half): PIM-aware data placement — paper Algorithm 1.
-// Clusters are replicated proportionally to their workload W_i = s_i * f_i
-// and distributed across DPUs under a workload threshold that is relaxed
-// until everything fits. Three insights are honored (paper 4.1.1):
+// Clusters are replicated proportionally to their workload W_i (the paper's
+// s_i * f_i, or core::WorkloadModel's f_i * (s_i * per_record + per_query),
+// which also charges the per-query cost a hub adds to its holder) and
+// distributed across DPUs under a workload threshold that is relaxed until
+// everything fits. Three insights are honored (paper 4.1.1):
 //   1. whole clusters stay on a single DPU (no partial-result transfers),
 //   2. hot clusters get ncpy = ceil(W_i / W-bar) replicas,
 //   3. spatially proximate clusters co-locate: clusters are visited in a
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "core/adaptive.hpp"
+#include "core/workload_model.hpp"
 #include "ivf/cluster_stats.hpp"
 #include "ivf/ivf_index.hpp"
 
@@ -35,7 +38,8 @@ struct Placement {
   std::vector<std::vector<std::uint32_t>> cluster_dpus;
   /// dpu -> clusters resident on it.
   std::vector<std::vector<std::uint32_t>> dpu_clusters;
-  /// Estimated workload per DPU after placement (sum of per-replica w_i).
+  /// Estimated workload per DPU after placement (sum of per-replica w_i,
+  /// in the WorkloadModel's units).
   std::vector<double> dpu_workload;
   /// Vectors per DPU.
   std::vector<std::size_t> dpu_vectors;
@@ -46,10 +50,15 @@ struct Placement {
   std::size_t n_dpus() const { return dpu_clusters.size(); }
 };
 
-/// Paper Algorithm 1, applied to every cluster in proximity order.
+/// Paper Algorithm 1, applied to every cluster in proximity order. W_i and
+/// W-bar come from `model` over stats.sizes and stats.frequencies, and the
+/// paper's per-record W_i = s_i * f_i stays a second constraint: a cluster
+/// gets the larger of the two ncpy, and a replica lands only where it fits
+/// under both thresholds. The default model is the paper's exactly.
 Placement place_clusters(const ivf::IvfIndex& index,
                          const ivf::ClusterStats& stats,
-                         const PlacementOptions& opts);
+                         const PlacementOptions& opts,
+                         const WorkloadModel& model = {});
 
 /// Baseline: each cluster on one uniformly random DPU (the "naive
 /// distribution strategy that assigns clusters randomly" of Sec 5.3.1).
@@ -79,7 +88,8 @@ struct CopyDelta {
 /// cluster and has MRAM capacity; retired replicas leave the most-loaded
 /// holder, never dropping a cluster below one replica. `frequencies` is the
 /// fresh traffic estimate the deltas were derived from; the touched
-/// clusters' advisory workload shares are re-based on it. Deterministic:
+/// clusters' advisory workload shares are re-based on it under `model` (the
+/// one the placement was built with). Deterministic:
 /// identical inputs yield identical deltas. Replica targets are clamped to
 /// [1, n_dpus] (and opts.max_replicas when set); a delta that finds no
 /// eligible DPU is partially applied, so callers must act on the returned
@@ -88,6 +98,7 @@ std::vector<CopyDelta> adjust_replicas(
     Placement& placement, const ivf::IvfIndex& index,
     const std::vector<CopyAdjustment>& adjustments,
     const std::vector<std::size_t>& cluster_sizes,
-    const std::vector<double>& frequencies, const PlacementOptions& opts);
+    const std::vector<double>& frequencies, const PlacementOptions& opts,
+    const WorkloadModel& model = {});
 
 }  // namespace upanns::core

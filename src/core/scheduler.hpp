@@ -1,9 +1,11 @@
 // Opt1 (online half): greedy query scheduling — paper Algorithm 2.
 // Given each query's filtered clusters and the cluster->DPU replica map,
-// assign every (query, cluster) pair to a DPU such that per-DPU scanned
-// vectors stay balanced: single-replica clusters are forced assignments;
+// assign every (query, cluster) pair to a DPU such that per-DPU workload
+// stays balanced: single-replica clusters are forced assignments;
 // multi-replica clusters are processed largest-first onto the least-loaded
-// replica holder. Runs on the host in O(|Q| * nprobe).
+// replica holder. An assignment costs its cluster's records under the
+// WorkloadModel, plus per_query the first time its query lands on the DPU.
+// Runs on the host in O(|Q| * nprobe).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,9 @@ struct Assignment {
 struct Schedule {
   /// dpu -> assignments, in issue order.
   std::vector<std::vector<Assignment>> per_dpu;
-  /// dpu -> scheduled workload (sum of cluster sizes), the W[] of Alg 2.
+  /// dpu -> scheduled workload, the W[] of Alg 2: per_record per scanned
+  /// record plus per_query per distinct query (the default model: the sum
+  /// of cluster sizes).
   std::vector<double> dpu_workload;
 
   std::size_t n_dpus() const { return per_dpu.size(); }
@@ -39,6 +43,7 @@ struct Schedule {
 Schedule schedule_queries(const std::vector<std::vector<std::uint32_t>>& probes,
                           const Placement& placement,
                           const std::vector<std::size_t>& cluster_sizes,
+                          const WorkloadModel& model = {},
                           obs::MetricsSink sink = {});
 
 /// Naive baseline: every cluster goes to its first (only) replica with no

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/engine.hpp"
+#include "core/placement.hpp"
 #include "data/query_workload.hpp"
 #include "mram_writes.hpp"
 #include "obs/metrics.hpp"
@@ -250,6 +251,68 @@ TEST(Adaptive, CopyChangeFractionAloneTriggersAdjustment) {
   const auto quiet = ctl.recommend({100, 100, 100, 100}, {1, 1, 1, 1}, 50.0);
   EXPECT_EQ(quiet.action, AdaptAction::kNone);
   EXPECT_TRUE(quiet.adjustments.empty());
+}
+
+TEST(Adaptive, CopyChangeFractionAloneTriggersAdjustmentUnderPerQueryModel) {
+  // CopyChangeFractionAloneTriggersAdjustment restated for a per-query
+  // model: cluster 0 (window share 1) wants ceil(1.0 * (100 + 100) / 150)
+  // = 2 and has 1; cluster 1 (share 0) wants 1 and has 2.
+  AdaptiveOptions opts;
+  opts.ewma_alpha = 0.0;
+  opts.minor_threshold = 0.5;
+  opts.major_threshold = 0.9;
+  opts.copy_change_fraction = 0.5;
+  AdaptiveController ctl(4, opts);
+  ctl.set_baseline({0.25, 0.25, 0.25, 0.25});
+  ctl.observe_batch({{0u}, {0u}, {0u}, {0u}});
+  const WorkloadModel model{1.0, 100.0};
+  const auto rec = ctl.recommend({100, 100, 100, 100}, {1, 2, 1, 1}, 150.0,
+                                 /*allow_relocate=*/true, model);
+  EXPECT_EQ(rec.action, AdaptAction::kAdjustCopies);
+  ASSERT_EQ(rec.adjustments.size(), 2u);
+  EXPECT_EQ(rec.adjustments[0].cluster, 0u);
+  EXPECT_EQ(rec.adjustments[0].delta, 1);
+  EXPECT_EQ(rec.adjustments[1].cluster, 1u);
+  EXPECT_EQ(rec.adjustments[1].delta, -1);
+  // Per record alone cluster 0 fits one copy (100 <= 150): one change of
+  // four stays below the fraction.
+  const auto legacy = ctl.recommend({100, 100, 100, 100}, {1, 2, 1, 1}, 150.0);
+  EXPECT_EQ(legacy.action, AdaptAction::kNone);
+
+  const auto quiet = ctl.recommend({100, 100, 100, 100}, {2, 1, 1, 1}, 150.0,
+                                   /*allow_relocate=*/true, model);
+  EXPECT_EQ(quiet.action, AdaptAction::kNone);
+  EXPECT_TRUE(quiet.adjustments.empty());
+}
+
+TEST(Adaptive, RecommendForMasksNonResidentClustersAndAveragesUnderTheModel) {
+  AdaptiveOptions opts;
+  opts.ewma_alpha = 0.0;
+  opts.minor_threshold = 0.0;  // always act, to expose the adjustments
+  AdaptiveController ctl(4, opts);
+  ctl.set_baseline({0.25, 0.25, 0.25, 0.25});
+  ctl.observe_batch({{0u, 1u}, {0u, 2u}, {0u, 3u}, {0u, 1u}});
+  Placement p;
+  p.cluster_dpus = {{0}, {1}, {}, {0, 1}};  // cluster 2 not resident here
+  p.dpu_clusters = {{0, 3}, {1, 3}, {}};
+  p.dpu_workload.assign(3, 0.0);
+  p.dpu_vectors.assign(3, 0);
+  const std::vector<std::size_t> sizes = {40, 300, 500, 20};
+  for (const WorkloadModel& model :
+       {WorkloadModel{}, WorkloadModel{1.0, 200.0}}) {
+    const std::vector<std::size_t> resident = {40, 300, 0, 20};
+    const double w_bar = model.average(resident, ctl.window_mean(), 3);
+    const AdaptReport want =
+        ctl.recommend(resident, {1, 1, 0, 2}, w_bar, false, model);
+    const AdaptReport got = ctl.recommend_for(p, sizes, model, false);
+    EXPECT_EQ(got.action, want.action);
+    ASSERT_EQ(got.adjustments.size(), want.adjustments.size());
+    for (std::size_t i = 0; i < got.adjustments.size(); ++i) {
+      EXPECT_EQ(got.adjustments[i].cluster, want.adjustments[i].cluster);
+      EXPECT_EQ(got.adjustments[i].delta, want.adjustments[i].delta);
+      EXPECT_NE(got.adjustments[i].cluster, 2u);
+    }
+  }
 }
 
 TEST(Adaptive, RecommendIsDeterministic) {

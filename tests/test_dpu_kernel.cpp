@@ -569,6 +569,37 @@ TEST(KeyTables, WithinRoundingOfFloatAdcAtEveryShapeLevelAndTaskletCount) {
   }
 }
 
+TEST(KeyTables, HostConversionOfGatheredKeysMatchesTheDpuSideFormula) {
+  // S5 ships raw i32 keys; the host's key_distance must reproduce bit for
+  // bit the U * key the DPU used to store: static_cast<float>(U * key).
+  for (const KernelMode mode : {KernelMode::kDirectTokens, KernelMode::kCae}) {
+    KeyImage img(16, 8, 77, mode);
+    QueryKernel kernel(img.layout, img.input, mode, /*prune_topk=*/true);
+    const std::vector<KeyedNeighbor> result = img.run(kernel, 11);
+    ASSERT_EQ(result.size(), kKeyRecords);
+    std::vector<std::uint32_t> slot(2 * img.input.k);
+    img.dpu.host_read(img.input.results_off, slot.data(),
+                      slot.size() * sizeof(std::uint32_t));
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      const auto key = static_cast<std::int32_t>(slot[2 * i]);
+      EXPECT_EQ(key, result[i].key);
+      EXPECT_EQ(slot[2 * i + 1], result[i].id);
+      const float dpu_side = static_cast<float>(
+          img.layout.unit * static_cast<double>(result[i].key));
+      const float host = key_distance(key, img.layout.unit);
+      EXPECT_EQ(std::memcmp(&host, &dpu_side, sizeof(float)), 0)
+          << "slot " << i;
+    }
+  }
+  // Negative and extreme keys convert the same way.
+  for (const std::int32_t key : {-(1 << 30), -1, 0, 1, 12345, 1 << 30}) {
+    const double unit = 0.0123456789;
+    const float want = static_cast<float>(unit * static_cast<double>(key));
+    const float got = key_distance(key, unit);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0) << key;
+  }
+}
+
 TEST(KeyTables, QueryFarOutsideTheRecordsSaturatesAndIsCounted) {
   KeyImage near(16, 8, 5, KernelMode::kDirectTokens);
   EXPECT_EQ(near.saturated, 0u);

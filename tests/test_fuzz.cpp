@@ -106,6 +106,41 @@ TEST_P(SchedulerFuzz, InvariantsHoldUnderRandomInputs) {
   if (s.total_assignments() > 0 && naive.balance_ratio() > 0) {
     EXPECT_LE(s.balance_ratio(), naive.balance_ratio() + 1e-9);
   }
+
+  // 5. Invariants 1-3 restated for a per-query WorkloadModel. per_record is
+  // a multiple of 0.5 and per_query an integer, so every sum is exact: a
+  // DPU's W is per_record per scanned record plus per_query per distinct
+  // query it serves, and the totals are conserved.
+  const WorkloadModel model{0.5 * static_cast<double>(1 + rng.below(4)),
+                            static_cast<double>(rng.below(5000))};
+  const Schedule m = schedule_queries(probes, placement, sizes, model);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, int> seen_m;
+  double records_total = 0, queries_total = 0, w_total = 0;
+  for (std::size_t d = 0; d < m.n_dpus(); ++d) {
+    double records = 0;
+    std::set<std::uint32_t> queries;
+    for (const Assignment& a : m.per_dpu[d]) {
+      ++seen_m[{a.query, a.cluster}];
+      const auto& holders = placement.cluster_dpus[a.cluster];
+      EXPECT_NE(std::find(holders.begin(), holders.end(), d), holders.end());
+      records += static_cast<double>(sizes[a.cluster]);
+      queries.insert(a.query);
+    }
+    const double distinct = static_cast<double>(queries.size());
+    EXPECT_EQ(m.dpu_workload[d],
+              records * model.per_record + distinct * model.per_query)
+        << "dpu " << d;
+    for (std::size_t i = 1; i < m.per_dpu[d].size(); ++i) {
+      EXPECT_LE(m.per_dpu[d][i - 1].query, m.per_dpu[d][i].query);
+    }
+    records_total += records;
+    queries_total += distinct;
+    w_total += m.dpu_workload[d];
+  }
+  EXPECT_EQ(seen_m, seen);
+  EXPECT_EQ(records_total, total);
+  EXPECT_EQ(w_total,
+            total * model.per_record + queries_total * model.per_query);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz,

@@ -188,6 +188,97 @@ TEST(Placement, WorkloadAccountingMatchesReplicas) {
   EXPECT_NEAR(placed, expected, 1e-6 * expected);
 }
 
+// ----- The per-query term of the WorkloadModel (hub-aware Algorithm 1) -----
+
+/// A history in which every query probes the two smallest clusters (hubs)
+/// and eight others in rotation: each hub holds few records but is probed
+/// by every query.
+struct HubStats {
+  ivf::ClusterStats stats;
+  std::uint32_t hub[2] = {0, 0};
+};
+
+HubStats hub_stats(const ivf::IvfIndex& index) {
+  std::vector<std::uint32_t> by_size(index.n_clusters());
+  std::iota(by_size.begin(), by_size.end(), 0u);
+  const std::vector<std::size_t> sizes = index.list_sizes();
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return sizes[a] < sizes[b];
+                   });
+  HubStats h;
+  std::size_t next = 0;
+  for (std::uint32_t c : by_size) {
+    if (sizes[c] > 0 && next < 2) h.hub[next++] = c;
+  }
+  std::vector<std::uint32_t> others;
+  for (std::uint32_t c = 0; c < index.n_clusters(); ++c) {
+    if (c != h.hub[0] && c != h.hub[1]) others.push_back(c);
+  }
+  std::vector<std::vector<std::uint32_t>> history;
+  for (std::size_t q = 0; q < 200; ++q) {
+    std::vector<std::uint32_t> probes = {h.hub[0], h.hub[1]};
+    for (std::size_t i = 0; i < 8; ++i) {
+      probes.push_back(others[(q * 8 + i) % others.size()]);
+    }
+    history.push_back(std::move(probes));
+  }
+  h.stats = ivf::collect_stats(index, history);
+  return h;
+}
+
+TEST(Placement, HubGetsReplicasOnDistinctDpusUnderPerQueryModel) {
+  auto& f = fixture();
+  const HubStats h = hub_stats(f.index);
+  const WorkloadModel hub_aware{1.0, 400.0};
+  const Placement legacy = place_clusters(f.index, h.stats, opts_for(16));
+  const Placement p = place_clusters(f.index, h.stats, opts_for(16), hub_aware);
+  for (const std::uint32_t hub : h.hub) {
+    // The per-record model sees a small cluster and keeps one copy; the
+    // per-query term of every query it serves asks for more.
+    EXPECT_EQ(legacy.cluster_dpus[hub].size(), 1u) << "hub " << hub;
+    EXPECT_GE(p.cluster_dpus[hub].size(), 2u) << "hub " << hub;
+    const std::set<std::uint32_t> uniq(p.cluster_dpus[hub].begin(),
+                                       p.cluster_dpus[hub].end());
+    EXPECT_EQ(uniq.size(), p.cluster_dpus[hub].size());
+  }
+  // Two hubs never share a DPU while other DPUs have room.
+  for (const auto& resident : p.dpu_clusters) {
+    const bool first = std::count(resident.begin(), resident.end(), h.hub[0]);
+    const bool second = std::count(resident.begin(), resident.end(), h.hub[1]);
+    EXPECT_FALSE(first && second);
+  }
+}
+
+TEST(Placement, WorkloadAccountingMatchesReplicasUnderPerQueryModel) {
+  // WorkloadAccountingMatchesReplicas restated for the model: per-DPU
+  // workloads sum to sum_c f_c * (s_c * per_record + per_query).
+  auto& f = fixture();
+  const WorkloadModel model{2.5, 300.0};
+  const Placement p = place_clusters(f.index, f.stats, opts_for(8), model);
+  const double placed =
+      std::accumulate(p.dpu_workload.begin(), p.dpu_workload.end(), 0.0);
+  double expected = 0;
+  for (std::size_t c = 0; c < f.index.n_clusters(); ++c) {
+    if (!p.cluster_dpus[c].empty()) {
+      expected += model.cluster(f.stats.sizes[c], f.stats.frequencies[c]);
+    }
+  }
+  EXPECT_NEAR(placed, expected, 1e-6 * expected);
+}
+
+TEST(Placement, DefaultModelReproducesThePerRecordPlacement) {
+  // WorkloadModel{} is the paper's W_i = s_i * f_i bit for bit, so passing
+  // it explicitly changes nothing.
+  auto& f = fixture();
+  const Placement a = place_clusters(f.index, f.stats, opts_for(16));
+  const Placement b =
+      place_clusters(f.index, f.stats, opts_for(16), WorkloadModel{});
+  EXPECT_EQ(a.cluster_dpus, b.cluster_dpus);
+  EXPECT_EQ(a.dpu_workload, b.dpu_workload);
+  EXPECT_EQ(a.final_threshold, b.final_threshold);
+}
+
 // ----- adjust_replicas: the online minor-drift counterpart of Algorithm 1 --
 
 /// First cluster that currently has exactly one replica (exists in the
@@ -313,6 +404,23 @@ TEST(AdjustReplicas, EmptyPlacementRejected) {
   EXPECT_THROW(adjust_replicas(p, f.index, {{0, +1}}, f.stats.sizes,
                                f.stats.frequencies, opts_for(16)),
                std::invalid_argument);
+}
+
+TEST(AdjustReplicas, RebasesSharesUnderTheModel) {
+  // After an adjustment the touched cluster's shares sum to its W_c under
+  // the model the placement was built with.
+  auto& f = fixture();
+  const WorkloadModel model{1.0, 250.0};
+  Placement p = place_clusters(f.index, f.stats, opts_for(16), model);
+  const std::uint32_t c = single_replica_cluster(p);
+  const double before =
+      std::accumulate(p.dpu_workload.begin(), p.dpu_workload.end(), 0.0);
+  adjust_replicas(p, f.index, {{c, +2}}, f.stats.sizes, f.stats.frequencies,
+                  opts_for(16), model);
+  EXPECT_EQ(p.cluster_dpus[c].size(), 3u);
+  const double after =
+      std::accumulate(p.dpu_workload.begin(), p.dpu_workload.end(), 0.0);
+  EXPECT_NEAR(after, before, 1e-9 * before);
 }
 
 }  // namespace

@@ -133,5 +133,89 @@ TEST(Scheduler, EmptyBatch) {
   EXPECT_EQ(s.total_assignments(), 0u);
 }
 
+// ----- The per-query term of the WorkloadModel -----
+
+TEST(Scheduler, WorkloadCountsClusterSizesAndEachQueryOncePerDpu) {
+  // WorkloadCountsClusterSizes restated for the model: a DPU's W is
+  // per_record per scanned record plus per_query per distinct query.
+  const Placement p = make_placement();
+  const WorkloadModel model{2.0, 1000.0};
+  const Schedule s = schedule_queries({{1, 2}}, p, kSizes, model);
+  EXPECT_EQ(s.dpu_workload[0], 50.0 * 2.0 + 1000.0);
+  EXPECT_EQ(s.dpu_workload[1], 50.0 * 2.0 + 1000.0);
+
+  // Two clusters of one query on one DPU pay the query once: q0 scans
+  // cluster 1 (forced on DPU 0) and replicated cluster 5 on DPU 0 or 2.
+  const Schedule t = schedule_queries({{1, 5}}, p, kSizes, model);
+  ASSERT_EQ(t.per_dpu[0].size() + t.per_dpu[2].size(), 2u);
+  for (std::size_t d = 0; d < t.n_dpus(); ++d) {
+    double records = 0;
+    for (const Assignment& a : t.per_dpu[d]) records += kSizes[a.cluster];
+    const double queries = t.per_dpu[d].empty() ? 0.0 : 1.0;
+    EXPECT_EQ(t.dpu_workload[d], records * 2.0 + queries * 1000.0)
+        << "dpu " << d;
+  }
+}
+
+TEST(Scheduler, PerQueryCostKeepsAQueryOnADpuItAlreadyUses) {
+  // DPU 0 holds A (100 records), DPU 1 holds B (60), both hold hub H (20).
+  // q0 probes A and H, q1 probes B. Per record alone, H goes to the
+  // lighter DPU 1 (60 + 20 < 100 + 20); with a per-query cost it joins q0
+  // on DPU 0, where q0 is already served (120 + pq < 80 + 2 pq).
+  Placement p;
+  p.cluster_dpus = {{0}, {1}, {0, 1}};
+  p.dpu_clusters = {{0, 2}, {1, 2}};
+  p.dpu_workload.assign(2, 0.0);
+  p.dpu_vectors.assign(2, 0);
+  const std::vector<std::size_t> sizes = {100, 60, 20};
+  const std::vector<std::vector<std::uint32_t>> probes = {{0, 2}, {1}};
+
+  const Schedule legacy = schedule_queries(probes, p, sizes);
+  EXPECT_EQ(legacy.per_dpu[1].size(), 2u);
+  EXPECT_EQ(legacy.dpu_workload[0], 100.0);
+  EXPECT_EQ(legacy.dpu_workload[1], 80.0);
+
+  const Schedule s = schedule_queries(probes, p, sizes, WorkloadModel{1, 100});
+  ASSERT_EQ(s.per_dpu[0].size(), 2u);
+  EXPECT_EQ(s.per_dpu[0][1].cluster, 2u);
+  EXPECT_EQ(s.dpu_workload[0], 120.0 + 100.0);
+  EXPECT_EQ(s.dpu_workload[1], 60.0 + 100.0);
+}
+
+TEST(Scheduler, HubQueriesSplitAcrossItsReplicas) {
+  // Sixteen queries probe hub 5 (on DPUs 0 and 2) and one cluster forced
+  // onto DPU 1 or 3: the hub's queries split evenly over its replicas.
+  const Placement p = make_placement();
+  std::vector<std::vector<std::uint32_t>> probes;
+  for (std::uint32_t q = 0; q < 16; ++q) probes.push_back({5, q % 2 ? 2u : 4u});
+  const WorkloadModel model{1.0, 400.0};
+  const Schedule s = schedule_queries(probes, p, kSizes, model);
+  std::size_t on[4] = {0, 0, 0, 0};
+  for (std::size_t d = 0; d < 4; ++d) {
+    for (const Assignment& a : s.per_dpu[d]) {
+      if (a.cluster == 5) ++on[d];
+    }
+  }
+  EXPECT_EQ(on[0], 8u);
+  EXPECT_EQ(on[2], 8u);
+  EXPECT_EQ(s.dpu_workload[0], 8 * (80.0 + 400.0));
+}
+
+TEST(Scheduler, DefaultModelReproducesThePerRecordSchedule) {
+  const Placement p = make_placement();
+  const std::vector<std::vector<std::uint32_t>> probes = {
+      {0, 1, 5}, {0, 3}, {4, 5}, {0, 5}, {2, 0}};
+  const Schedule a = schedule_queries(probes, p, kSizes);
+  const Schedule b = schedule_queries(probes, p, kSizes, WorkloadModel{});
+  EXPECT_EQ(a.dpu_workload, b.dpu_workload);
+  for (std::size_t d = 0; d < a.n_dpus(); ++d) {
+    ASSERT_EQ(a.per_dpu[d].size(), b.per_dpu[d].size());
+    for (std::size_t i = 0; i < a.per_dpu[d].size(); ++i) {
+      EXPECT_EQ(a.per_dpu[d][i].query, b.per_dpu[d][i].query);
+      EXPECT_EQ(a.per_dpu[d][i].cluster, b.per_dpu[d][i].cluster);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace upanns::core
