@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/stats.hpp"
@@ -125,8 +124,16 @@ double AdaptiveController::drift() const {
 AdaptReport AdaptiveController::recommend(
     const std::vector<std::size_t>& cluster_sizes,
     const std::vector<std::size_t>& current_copies,
-    double avg_dpu_workload, bool allow_relocate,
-    const WorkloadModel& model) const {
+    double avg_dpu_workload, bool allow_relocate) const {
+  return recommend(cluster_sizes, current_copies,
+                   ReplicaSizing{WorkloadModel{}, avg_dpu_workload},
+                   allow_relocate);
+}
+
+AdaptReport AdaptiveController::recommend(
+    const std::vector<std::size_t>& cluster_sizes,
+    const std::vector<std::size_t>& current_copies,
+    const ReplicaSizing& sizing, bool allow_relocate) const {
   assert(cluster_sizes.size() == n_clusters_);
   assert(current_copies.size() == n_clusters_);
   AdaptReport report;
@@ -138,7 +145,7 @@ AdaptReport AdaptiveController::recommend(
   }
 
   // Desired replica counts under the *short-memory* traffic profile:
-  // Algorithm 1's ncpy = ceil(W_i / W-bar) recomputed with the window mean,
+  // Algorithm 1's ncpy (ReplicaSizing) recomputed with the window mean,
   // so a hot set that already rolled out of the window stops holding
   // replicas (the long-memory EWMA only gates whether acting is worth it).
   const std::vector<double> freq = window_mean();
@@ -146,9 +153,7 @@ AdaptReport AdaptiveController::recommend(
   std::size_t replicated_total = 0;
   for (std::size_t c = 0; c < n_clusters_; ++c) {
     if (cluster_sizes[c] == 0) continue;
-    const std::size_t want = WorkloadModel::replicas(
-        model.cluster(cluster_sizes[c], freq[c]), avg_dpu_workload,
-        std::numeric_limits<std::size_t>::max());
+    const std::size_t want = sizing.replicas(cluster_sizes[c], freq[c]);
     replicated_total += current_copies[c];
     if (want != current_copies[c]) {
       report.adjustments.push_back(
@@ -182,9 +187,10 @@ AdaptReport AdaptiveController::recommend_for(
     copies[c] = placement.cluster_dpus[c].size();
     if (copies[c] == 0) resident_sizes[c] = 0;
   }
-  const double w_bar =
-      model.average(resident_sizes, window_mean(), placement.n_dpus());
-  return recommend(resident_sizes, copies, w_bar, allow_relocate, model);
+  return recommend(resident_sizes, copies,
+                   ReplicaSizing::of(model, resident_sizes, window_mean(),
+                                     placement.n_dpus()),
+                   allow_relocate);
 }
 
 }  // namespace upanns::core

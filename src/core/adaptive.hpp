@@ -99,21 +99,28 @@ class AdaptiveController {
   /// Smoothed busy-time balance ratio (0 until observe_busy is fed).
   double busy_balance() const { return busy_balance_; }
 
-  /// Decide what to do given the average per-DPU workload target and current
-  /// per-cluster replica counts/sizes; each cluster wants Algorithm 1's
-  /// ncpy under `model` (WorkloadModel::replicas). With allow_relocate false
-  /// (AdaptMode kCopies) major drift degrades to an adjust-copies
-  /// recommendation instead of a relocation.
+  /// Decide what to do given the current per-cluster replica counts and
+  /// sizes: each cluster wants `sizing`'s ncpy (ReplicaSizing::replicas)
+  /// under the window-mean traffic. With allow_relocate false (AdaptMode
+  /// kCopies) major drift degrades to an adjust-copies recommendation
+  /// instead of a relocation.
   AdaptReport recommend(const std::vector<std::size_t>& cluster_sizes,
                         const std::vector<std::size_t>& current_copies,
-                        double avg_dpu_workload, bool allow_relocate = true,
-                        const WorkloadModel& model = {}) const;
+                        const ReplicaSizing& sizing,
+                        bool allow_relocate) const;
+  /// recommend() under the paper's per-record model, with W-bar given.
+  AdaptReport recommend(const std::vector<std::size_t>& cluster_sizes,
+                        const std::vector<std::size_t>& current_copies,
+                        double avg_dpu_workload,
+                        bool allow_relocate = true) const;
 
   /// recommend() for one engine's placement, as the serving pipelines call
   /// it: copies are the placement's replica counts, clusters with no
   /// resident replica are masked to size 0 (adopting one online would
-  /// change the searchable set, or take another host's shard), and W-bar is
-  /// `model`'s average over the placement's DPUs under window_mean().
+  /// change the searchable set, or take another host's shard), and the
+  /// sizing is place_clusters' own, ReplicaSizing::of(model, ...) over the
+  /// placement's DPUs under window_mean() — so traffic that has not drifted
+  /// asks for the copies placement made.
   AdaptReport recommend_for(const Placement& placement,
                             const std::vector<std::size_t>& cluster_sizes,
                             const WorkloadModel& model,

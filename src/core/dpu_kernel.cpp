@@ -304,7 +304,6 @@ void QueryKernel::rebind(const DpuLaunchInput& input) {
 
 void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   dpu_ = &dpu;
-  simd_ = common::simd_active_level();  // once per launch, not per phase
   pim::WramAllocator& wram = dpu.wram();
   wram.reset();
 
@@ -636,7 +635,8 @@ void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
   const std::int8_t* cb = ctx.mram_view_as<std::int8_t>(
       layout_.codebook_off + r.lo * dsub, (r.hi - r.lo) * dsub);
 #if defined(__SSE2__)
-  const common::SimdLevel simd = dsub == 8 ? simd_ : common::SimdLevel::kScalar;
+  const common::SimdLevel simd =
+      dsub == 8 ? common::simd_active_level() : common::SimdLevel::kScalar;
 #endif
   float local_max = 0.f;
   for (std::size_t s = s_lo; s < s_hi; ++s) {
@@ -825,7 +825,8 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   const std::uint32_t pair_key =
       static_cast<std::uint32_t>(input_->items[p.item].pair_key);
 #if defined(__SSE2__)
-  const bool use_avx2 = simd_ == common::SimdLevel::kAvx2;
+  const bool use_avx2 =
+      common::simd_active_level() == common::SimdLevel::kAvx2;
 #endif
 
   std::uint64_t scanned_elems = 0;
@@ -1008,84 +1009,6 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   }
 }
 
-WorkloadModel kernel_workload_model(KernelMode mode, std::size_t m,
-                                    std::size_t k, std::size_t n_dpus,
-                                    unsigned n_tasklets,
-                                    double length_reduction,
-                                    std::size_t mram_read_vectors) {
-  if (mode == KernelMode::kNaiveRaw) return {};
-  const unsigned n_t = std::clamp(n_tasklets, 1u, hw::kMaxTasklets);
-  const double cycles_per_host_byte = hw::kDpuFreqHz / hw::kHostXferParallelBw;
-  const auto dma = [](std::size_t bytes) {
-    double cycles = 0;
-    for (std::size_t done = 0; done < bytes; done += hw::kMramMaxTransfer) {
-      cycles += std::floor(pim::DpuCostModel::mram_dma_cycles(
-          std::min(bytes - done, hw::kMramMaxTransfer)));
-    }
-    return cycles;
-  };
-
-  WorkloadModel model;
-  // Scan (S4): issue slots plus the DMA of the record's id and its share of
-  // the chunk's stream reads.
-  const double tokens = static_cast<double>(m) * (1.0 - length_reduction);
-  const double record_bytes =
-      (tokens + static_cast<double>(kRecordHeaderElems)) *
-      sizeof(std::uint16_t);
-  const double chunk_stream = static_cast<double>(kChunkRecords) * record_bytes;
-  const double read_bytes = static_cast<double>(
-      mram_read_vectors > 0
-          ? pim::DpuCostModel::legalize_transfer(
-                mram_read_vectors * (m + kRecordHeaderElems) *
-                sizeof(std::uint16_t))
-          : hw::kMramMaxTransfer);
-  const double chunk_dma =
-      dma(kChunkRecords * sizeof(std::uint32_t)) +
-      std::ceil(chunk_stream / read_bytes) * hw::kMramSetupCycles +
-      hw::kMramCyclesPerByte * chunk_stream;
-  model.per_record = static_cast<double>(kInstrRecordOverhead) +
-                     tokens * static_cast<double>(kInstrTokenScan) +
-                     chunk_dma / static_cast<double>(kChunkRecords);
-
-  // Host transfers: one more row on the busiest DPU pads every DPU's push
-  // and gather by that row.
-  const double rows =
-      static_cast<double>(n_dpus) *
-      static_cast<double>(m * 256 * sizeof(std::uint16_t) + k * 8) *
-      cycles_per_host_byte;
-
-  // S0: each tasklet DMAs its slice of the table row.
-  std::vector<pim::TaskletWork> work(n_t);
-  for (unsigned t = 0; t < n_t; ++t) {
-    const LutRange r = lut_range(m, t, n_t);
-    if (r.lo == r.hi) continue;
-    work[t].instructions = kInstrTableSlice;
-    work[t].dma_cycles = static_cast<std::uint64_t>(
-        dma((r.hi - r.lo) * sizeof(std::uint16_t)));
-  }
-  const std::uint64_t s0 = pim::DpuCostModel::phase_cycles(work) +
-                           pim::DpuCostModel::barrier_cycles();
-
-  // S5 with every tasklet heap full: each heapsorts k entries; the first
-  // tasklet's k entries all enter the global heap, every other tasklet stops
-  // at its first compare; the last tasklet writes the k result slots.
-  std::uint64_t lg = 1;
-  while ((1ull << lg) < k) ++lg;
-  for (unsigned t = 0; t < n_t; ++t) {
-    work[t].clear();
-    work[t].instructions = k > 1 ? 2 * k * lg : 0;
-    work[t].critical_instructions =
-        t == 0 ? k * (2 + heap_push_cost(k)) : 2;
-  }
-  work[n_t - 1].instructions += 2 * k;
-  work[n_t - 1].dma_cycles += static_cast<std::uint64_t>(dma(k * 8));
-  const std::uint64_t s5 = pim::DpuCostModel::phase_cycles(work) +
-                           pim::DpuCostModel::barrier_cycles();
-
-  model.per_query = rows + static_cast<double>(s0 + s5);
-  return model;
-}
-
 KernelStageCycles QueryKernel::attribute_stages(
     const std::vector<std::uint64_t>& phase_cycles) const {
   KernelStageCycles out;
@@ -1093,6 +1016,9 @@ KernelStageCycles QueryKernel::attribute_stages(
   for (std::size_t i = 0; i < program_.size(); ++i) {
     switch (program_[i].step) {
       case Step::kQueryTable:
+        out.lut_build += phase_cycles[i];
+        out.per_query += phase_cycles[i];
+        break;
       case Step::kLutBuild:
       case Step::kLutReduce:
       case Step::kLutQuantize:
@@ -1104,6 +1030,7 @@ KernelStageCycles QueryKernel::attribute_stages(
         break;
       case Step::kMerge:
         out.topk += phase_cycles[i];
+        out.per_query += phase_cycles[i];
         break;
     }
   }

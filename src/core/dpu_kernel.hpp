@@ -43,10 +43,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/simd_dispatch.hpp"
 #include "common/topk.hpp"
 #include "core/cae.hpp"
-#include "core/workload_model.hpp"
 #include "pim/dpu.hpp"
 
 namespace upanns::core {
@@ -206,27 +204,6 @@ inline std::size_t query_row_bytes(const DpuStaticLayout& layout,
              : layout.m * 256 * sizeof(std::uint16_t);
 }
 
-/// The WorkloadModel the UpANNS kernels are charged under, in DPU cycles
-/// (DESIGN.md §4), for a build of `n_dpus` DPUs at `n_tasklets`, top-`k`,
-/// PQ width `m`, the build's CAE `length_reduction` and the stream read
-/// granularity `mram_read_vectors` (0: one maximal DMA per chunk):
-///  * per_record: the scan's kInstrRecordOverhead + tokens * kInstrTokenScan
-///    issue slots, tokens = m * (1 - length_reduction), plus the record's
-///    share of its chunk's id and stream DMAs;
-///  * per_query: one query row of the padded uniform push and one k * 8 B
-///    result row of the gather, each across n_dpus at the parallel host
-///    bandwidth; the S0 table DMA of the tasklets' slices; and S5 with full
-///    tasklet heaps (heapsorts, k global pushes and one pruning compare per
-///    further tasklet under the semaphore, the result write) — each phase
-///    priced by DpuCostModel::phase_cost plus its barrier.
-/// kNaiveRaw returns the per-record-only default: PIM-naive keeps the
-/// paper's random placement and naive schedule.
-WorkloadModel kernel_workload_model(KernelMode mode, std::size_t m,
-                                    std::size_t k, std::size_t n_dpus,
-                                    unsigned n_tasklets,
-                                    double length_reduction,
-                                    std::size_t mram_read_vectors);
-
 /// Per-launch inputs, already pushed to the DPU by the host. Local query i's
 /// row (query_row_bytes) is row i of the DPU's host-mirrored batch region:
 /// every DPU a query is pushed to holds an identical copy, so the simulator
@@ -253,6 +230,9 @@ struct KernelStageCycles {
   std::uint64_t lut_build = 0;    ///< S0-S3 (paper folds partial sums here)
   std::uint64_t distance = 0;     ///< S4
   std::uint64_t topk = 0;         ///< S5
+  /// The phases a DPU runs once per query it serves, within lut_build and
+  /// topk: S5's merge, and in the UpANNS modes S0's table load.
+  std::uint64_t per_query = 0;
 };
 
 /// A scanned record's candidate on the DPU: an integer key (UpANNS modes)
@@ -377,8 +357,6 @@ class QueryKernel final : public pim::DpuKernel {
   // setup(). All of it keeps capacity across launches.
   KernelScratch scratch_;
   float lut_scale_ = 1.f;
-  /// Host SIMD level of the functional scan, read once per launch.
-  common::SimdLevel simd_ = common::SimdLevel::kScalar;
   std::vector<KeyHeap> local_heaps_;
   KeyHeap global_heap_;
 

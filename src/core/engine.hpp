@@ -145,8 +145,9 @@ class UpAnnsEngine {
 
   const Placement& placement() const { return placement_; }
   /// The cluster-workload model placement, scheduling and adaptation
-  /// balance (kernel_workload_model of this build; the per-record-only
-  /// default in kNaiveRaw). Fixed at build.
+  /// balance, in DPU cycles: calibrate_workload_model over the stats of the
+  /// build or the last relocate() (the per-record-only default in
+  /// kNaiveRaw).
   const WorkloadModel& workload_model() const { return workload_model_; }
   const ivf::IvfIndex& index() const { return index_; }
   pim::PimSystem& system() { return *system_; }
@@ -168,16 +169,12 @@ class UpAnnsEngine {
 
   /// Rebuild the replica layout for a new frequency profile — the
   /// major-drift path of Sec 4.1.2 (fresh Algorithm 1 pass + full MRAM
-  /// reload, without retraining the index). Returns the reload cost so the
+  /// reload, without retraining the index), under a workload model
+  /// re-derived from `stats`. Returns the reload cost so the
   /// online pipelines can charge it to a batch slot: bytes_written is the
   /// full image, seconds its scatter charge; callers that relocate
   /// between workloads may ignore it.
   PatchStats relocate(const ivf::ClusterStats& stats);
-  /// relocate() under another workload model, which later schedules and
-  /// adaptations then balance too — e.g. the paper's per-record-only
-  /// WorkloadModel{} next to the derived one (Fig 11, test_workload_model).
-  PatchStats relocate(const ivf::ClusterStats& stats,
-                      const WorkloadModel& model);
 
   /// Result of one apply_copy_adjustments() pass. Retires are host-side
   /// bookkeeping (regions return to the MRAM free list) and cost nothing;
@@ -302,6 +299,13 @@ class UpAnnsEngine {
   std::size_t slack_bytes(std::size_t bytes) const;
   void snapshot_loaded_state();
   void set_placement_frequencies(const std::vector<double>& frequencies);
+  /// The build's WorkloadModel, read off a calibration launch of this
+  /// build's kernel on a scratch DPU holding one synthetic list of the size
+  /// a probe of `stats` scans on average: per_record is the scan's cycles
+  /// per record, per_query the S0 and S5 cycles of the query plus its row's
+  /// share of the padded push and gather. Deterministic, and charged
+  /// nowhere: no report or metric sees the scratch DPU.
+  WorkloadModel calibrate_workload_model(const ivf::ClusterStats& stats) const;
 
   const ivf::IvfIndex& index_;
   ivf::IvfIndex* mutable_index_ = nullptr;

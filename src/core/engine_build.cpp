@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/fastround.hpp"
@@ -76,10 +77,8 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
                         : 0;
 
   // --- The cluster-workload model Algorithms 1 and 2 balance, from the
-  // charges of this build's kernel (DESIGN.md §4).
-  workload_model_ = kernel_workload_model(
-      mode_, m, options_.k, options_.n_dpus, options_.n_tasklets,
-      build_length_reduction_, options_.mram_read_vectors);
+  // cycles this build's kernel charges (DESIGN.md §4).
+  workload_model_ = calibrate_workload_model(stats);
 
   // --- Place and load.
   placement_ = options_.opt_placement
@@ -89,6 +88,112 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
   load_dpus(stats);
+}
+
+WorkloadModel UpAnnsEngine::calibrate_workload_model(
+    const ivf::ClusterStats& stats) const {
+  // PIM-naive keeps the paper's per-record model with its random placement
+  // and naive schedule.
+  if (mode_ == KernelMode::kNaiveRaw) return {};
+
+  // The list a probe scans on average: the frequency-weighted mean size of
+  // the non-empty lists placement sees (the plain mean when nothing was
+  // probed), so per_record carries a pair's chunk rounding and barrier.
+  double probed = 0, weighted = 0, total = 0, lists = 0;
+  for (std::size_t c = 0; c < stats.sizes.size(); ++c) {
+    if (stats.sizes[c] == 0) continue;
+    const auto size = static_cast<double>(stats.sizes[c]);
+    probed += stats.frequencies[c];
+    weighted += stats.frequencies[c] * size;
+    total += size;
+    lists += 1;
+  }
+  if (lists == 0) return {};
+  const auto n = static_cast<std::size_t>(std::max(
+      1.0, std::round(probed > 0 ? weighted / probed : total / lists)));
+
+  // A scratch DPU holds one synthetic list of n records, laid out as the
+  // loader lays a list: each record carries the build's mean token count
+  // (its CAE length reduction spread over the records) and a pseudo-random
+  // norm term, which scatters the keys over the tasklet heaps as real data
+  // does. Only the build's shape, its mean token count and the placement
+  // stats enter, not the list contents, so an engine patched after
+  // mutations (direct tokens) keeps the model a fresh build over the
+  // mutated index with the same stats derives.
+  const std::size_t m = index_.pq_m();
+  const double tokens =
+      static_cast<double>(m) * (1.0 - build_length_reduction_);
+  CaeClusterEncoding enc;
+  enc.m = m;
+  enc.n_records = n;
+  std::vector<std::uint32_t> norms(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto len = static_cast<std::uint16_t>(
+        std::floor(static_cast<double>(r + 1) * tokens) -
+        std::floor(static_cast<double>(r) * tokens));
+    enc.tokens.push_back(len);
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      enc.tokens.push_back(static_cast<std::uint16_t>(pos * 256));
+    }
+    enc.total_tokens += len;
+    norms[r] = (static_cast<std::uint32_t>(r) * 2654435761u) >> 12;
+  }
+  ClusterImage img;
+  build_record_stream(enc, norms, img.records, img.chunk_index);
+  img.stream.resize(img.records.size() * sizeof(std::uint16_t));
+  std::memcpy(img.stream.data(), img.records.data(), img.stream.size());
+  img.stream_elems = img.records.size();
+  img.ids.resize(n);
+  std::iota(img.ids.begin(), img.ids.end(), 0u);
+  img.n_records = static_cast<std::uint32_t>(n);
+
+  pim::Dpu dpu(0);
+  DpuStaticLayout layout;
+  layout.dim = index_.dim();
+  layout.m = m;
+  layout.dsub = index_.pq().dsub();
+  layout.unit = key_codec_.unit();
+  std::vector<MramRun> runs;
+  layout.clusters.push_back(load_replica(dpu, 0, img, runs));
+  write_runs(dpu, runs);
+
+  // One query on the list, pushed and launched as PushStage and
+  // LaunchStage do, at whole-chunk reads: the read granularity is a
+  // runtime knob (Fig 17 sweeps it on a built engine) and leaves placement
+  // alone.
+  const std::vector<std::uint16_t> table(key_codec_.table_size(), 0);
+  const std::size_t row_bytes = query_row_bytes(layout, mode_);
+  DpuLaunchInput input;
+  input.k = options_.k;
+  input.query_rows = {0};
+  input.items = {{0, 0, 0}};
+  dpu.mram_mirror(table.data(), input.query_rows.data(), 1, row_bytes,
+                  "calibration-query");
+  input.results_off = dpu.mram_alloc(input.k * 8, "calibration-results");
+  QueryKernel kernel(layout, input, mode_, options_.opt_prune_topk);
+  KernelStageCycles stages;
+  try {
+    stages = kernel.attribute_stages(
+        dpu.run(kernel, options_.n_tasklets).phase_cycles);
+  } catch (const pim::WramOverflow&) {
+    // The kernel does not fit this configuration: nothing can launch, and
+    // the first search reports the overflow.
+    return {};
+  }
+
+  // per_record: the scan's cycles per record of the list. per_query: the
+  // query's S0 and S5 cycles, plus one more row on the busiest DPU, which
+  // pads the uniform push (its table row) and gather (its k results) of
+  // every DPU.
+  WorkloadModel model;
+  model.per_record =
+      static_cast<double>(stages.distance) / static_cast<double>(n);
+  model.per_query =
+      static_cast<double>(stages.per_query) +
+      pim::TransferEngine::uniform(options_.n_dpus, row_bytes + input.k * 8)
+              .seconds *
+          hw::kDpuFreqHz;
+  return model;
 }
 
 void UpAnnsEngine::set_placement_frequencies(
@@ -122,12 +227,6 @@ void UpAnnsEngine::set_metrics(obs::MetricsRegistry* registry) {
   if (system_) system_->set_metrics(registry);
 }
 
-UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats,
-                                                const WorkloadModel& model) {
-  workload_model_ = model;
-  return relocate(stats);
-}
-
 UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) {
   // A relocate rebuilds every MRAM image from the shared encodings, so any
   // pending index mutations must land in the encodings first.
@@ -136,6 +235,7 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
       refresh_encoding(c);
     }
   }
+  workload_model_ = calibrate_workload_model(stats);
   placement_ = options_.opt_placement
                    ? place_clusters(index_, stats, options_.placement,
                                     workload_model_)

@@ -115,7 +115,6 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
                        : (pl.index().pq_m() + kRecordHeaderElems) *
                              sizeof(std::uint16_t));
 
-  const quant::L2SqFn l2 = quant::l2_sq_fn();  // once per batch
   common::ThreadPool::global().parallel_for(
       0, ndpu,
       [&](std::size_t d) {
@@ -140,8 +139,8 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
             // The coarse distance with the filter's own routine, so probe
             // lists supplied from outside key identically.
             item.pair_key = pl.key_codec().pair_key(
-                l2(queries.row(a.query), pl.index().centroid(a.cluster),
-                   queries.dim),
+                quant::l2_sq(queries.row(a.query),
+                             pl.index().centroid(a.cluster), queries.dim),
                 ctx.query_offsets[a.query], a.cluster);
           }
           in.items.push_back(item);

@@ -26,7 +26,6 @@ std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
 
   // Greedy chain: start at cluster 0, repeatedly hop to the nearest unused
   // centroid. O(nc^2) — fine for the few thousand clusters IVF uses.
-  const quant::L2SqFn l2 = quant::l2_sq_fn();
   std::uint32_t cur = 0;
   used[0] = true;
   order.push_back(0);
@@ -36,7 +35,7 @@ std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
     float best_d = std::numeric_limits<float>::infinity();
     for (std::size_t c = 0; c < nc; ++c) {
       if (used[c]) continue;
-      const float d = l2(cv, index.centroid(c), index.dim());
+      const float d = quant::l2_sq(cv, index.centroid(c), index.dim());
       if (d < best_d) {
         best_d = d;
         best = static_cast<std::uint32_t>(c);
@@ -71,17 +70,20 @@ Placement place_clusters(const ivf::IvfIndex& index,
   if (ndpu == 0) throw std::invalid_argument("place_clusters: n_dpus == 0");
   const std::size_t nc = index.n_clusters();
   const std::size_t max_vecs = derive_max_dpu_vectors(index, opts);
-  const double w_bar = std::max(
-      model.average(stats.sizes, stats.frequencies, ndpu),
-      std::numeric_limits<double>::min());
-  // The paper's per-record workload stays a second constraint: `model`
-  // prices the simulated scale, where a query's fixed costs can outweigh
-  // hundreds of records, while at 1B points the scan dominates and only
-  // record balance counts. Under the default model both coincide.
-  const WorkloadModel records;
-  const double r_bar = std::max(
-      records.average(stats.sizes, stats.frequencies, ndpu),
-      std::numeric_limits<double>::min());
+  // Replica counts come from the ReplicaSizing adaptation re-sizes with
+  // (AdaptiveController::recommend_for).
+  const ReplicaSizing sizing =
+      ReplicaSizing::of(model, stats.sizes, stats.frequencies, ndpu);
+  const double w_bar =
+      std::max(sizing.w_bar, std::numeric_limits<double>::min());
+  // The paper's per-record workload stays a second threshold on where a
+  // replica lands: `model` prices the simulated scale, where a query's
+  // fixed costs can outweigh hundreds of records, while at 1B points the
+  // scan dominates and only record balance counts. Under the default model
+  // both thresholds coincide.
+  const double r_bar =
+      std::max(WorkloadModel{}.average(stats.sizes, stats.frequencies, ndpu),
+               std::numeric_limits<double>::min());
   std::vector<double> dpu_records(ndpu, 0.0);
 
   Placement out;
@@ -99,12 +101,10 @@ Placement place_clusters(const ivf::IvfIndex& index,
     if (stats.sizes[c] == 0) continue;
     const double w_total = model.cluster(stats.sizes[c], stats.frequencies[c]);
     const double r_total =
-        records.cluster(stats.sizes[c], stats.frequencies[c]);
+        WorkloadModel{}.cluster(stats.sizes[c], stats.frequencies[c]);
 
-    // ncpy = ceil(W_i / W-bar), at least 1 (Line 2), under whichever of the
-    // two workloads asks for more copies.
-    std::size_t ncpy = std::max(WorkloadModel::replicas(w_total, w_bar, ndpu),
-                                WorkloadModel::replicas(r_total, r_bar, ndpu));
+    // ncpy = ceil(W_i / W-bar), at least 1 (Line 2).
+    std::size_t ncpy = sizing.replicas(stats.sizes[c], stats.frequencies[c]);
     if (opts.max_replicas > 0) ncpy = std::min(ncpy, opts.max_replicas);
     const double w_i = w_total / static_cast<double>(ncpy);  // Line 3
     const double r_i = r_total / static_cast<double>(ncpy);

@@ -51,10 +51,10 @@ struct Placement {
 };
 
 /// Paper Algorithm 1, applied to every cluster in proximity order. W_i and
-/// W-bar come from `model` over stats.sizes and stats.frequencies, and the
-/// paper's per-record W_i = s_i * f_i stays a second constraint: a cluster
-/// gets the larger of the two ncpy, and a replica lands only where it fits
-/// under both thresholds. The default model is the paper's exactly.
+/// W-bar come from `model` over stats.sizes and stats.frequencies, and
+/// ncpy from ReplicaSizing; the paper's per-record W_i = s_i * f_i stays a
+/// second threshold, so a replica lands only where it fits under both. The
+/// default model is the paper's exactly.
 Placement place_clusters(const ivf::IvfIndex& index,
                          const ivf::ClusterStats& stats,
                          const PlacementOptions& opts,

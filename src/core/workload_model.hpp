@@ -7,8 +7,8 @@
 // charges both:
 //   W_c = f_c * (s_c * per_record + per_query).
 // The default {1, 0} is the paper's per-record-only model, bit for bit;
-// UpAnnsEngine derives its own from the kernel's cost constants
-// (core::kernel_workload_model, DESIGN.md §4).
+// UpAnnsEngine derives its own at build from the cycles its kernel charges
+// on a calibration launch (DESIGN.md §4).
 #pragma once
 
 #include <algorithm>
@@ -50,6 +50,28 @@ struct WorkloadModel {
         w / std::max(w_bar, std::numeric_limits<double>::min()));
     if (!(r < static_cast<double>(cap))) return std::max<std::size_t>(cap, 1);
     return std::max<std::size_t>(1, static_cast<std::size_t>(r));
+  }
+};
+
+/// Algorithm 1's replica sizing, shared by placement and adaptation so both
+/// ask for the same copies: a cluster gets ncpy = ceil(W_c / W-bar) under
+/// `model`, at least 1 and at most `cap`.
+struct ReplicaSizing {
+  WorkloadModel model;
+  double w_bar = 0;  ///< W-bar under `model`
+  std::size_t cap = std::numeric_limits<std::size_t>::max();
+
+  /// The target of `n_dpus` DPUs holding clusters of `sizes` probed at
+  /// `frequencies`; at most one copy per DPU.
+  static ReplicaSizing of(const WorkloadModel& model,
+                          const std::vector<std::size_t>& sizes,
+                          const std::vector<double>& frequencies,
+                          std::size_t n_dpus) {
+    return {model, model.average(sizes, frequencies, n_dpus), n_dpus};
+  }
+
+  std::size_t replicas(std::size_t size, double frequency) const {
+    return WorkloadModel::replicas(model.cluster(size, frequency), w_bar, cap);
   }
 };
 

@@ -14,14 +14,13 @@ std::vector<std::vector<common::Neighbor>> exact_topk(const Dataset& base,
                                                       std::size_t k) {
   assert(base.dim == queries.dim);
   std::vector<std::vector<common::Neighbor>> out(queries.n);
-  const quant::L2SqFn l2 = quant::l2_sq_fn();
   common::ThreadPool::global().parallel_for(
       0, queries.n,
       [&](std::size_t q) {
         common::BoundedMaxHeap heap(k);
         const float* qv = queries.row(q);
         for (std::size_t i = 0; i < base.n; ++i) {
-          const float d = l2(qv, base.row(i), base.dim);
+          const float d = quant::l2_sq(qv, base.row(i), base.dim);
           heap.push(d, static_cast<std::uint32_t>(i));
         }
         out[q] = heap.take_sorted();

@@ -159,9 +159,8 @@ std::vector<std::uint32_t> IvfIndex::filter_clusters(const float* query,
                                                      std::size_t nprobe) const {
   nprobe = std::min(nprobe, n_clusters_);
   common::BoundedMaxHeap heap(nprobe);
-  const quant::L2SqFn l2 = quant::l2_sq_fn();
   for (std::size_t c = 0; c < n_clusters_; ++c) {
-    const float d = l2(query, centroid(c), dim_);
+    const float d = quant::l2_sq(query, centroid(c), dim_);
     heap.push(d, static_cast<std::uint32_t>(c));
   }
   auto sorted = heap.take_sorted();
@@ -176,11 +175,10 @@ void IvfIndex::residual(const float* vec, std::size_t c, float* out) const {
 }
 
 std::size_t IvfIndex::assign_cluster(const float* vec) const {
-  const quant::L2SqFn l2 = quant::l2_sq_fn();
   std::size_t best = 0;
-  float best_d = l2(vec, centroid(0), dim_);
+  float best_d = quant::l2_sq(vec, centroid(0), dim_);
   for (std::size_t c = 1; c < n_clusters_; ++c) {
-    const float d = l2(vec, centroid(c), dim_);
+    const float d = quant::l2_sq(vec, centroid(c), dim_);
     if (d < best_d) {
       best_d = d;
       best = c;

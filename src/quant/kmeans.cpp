@@ -136,28 +136,23 @@ void run_indexed(common::ThreadPool* pool, bool threaded, std::size_t count,
 
 }  // namespace detail
 
-L2SqFn l2_sq_fn() {
+float l2_sq(const float* a, const float* b, std::size_t dim) {
   switch (common::simd_active_level()) {
-    case common::SimdLevel::kAvx2: return detail::l2_sq_avx2;
-    case common::SimdLevel::kSse2: return detail::l2_sq_sse2;
+    case common::SimdLevel::kAvx2: return detail::l2_sq_avx2(a, b, dim);
+    case common::SimdLevel::kSse2: return detail::l2_sq_sse2(a, b, dim);
     case common::SimdLevel::kScalar: break;
   }
-  return detail::l2_sq_scalar;
-}
-
-float l2_sq(const float* a, const float* b, std::size_t dim) {
-  return l2_sq_fn()(a, b, dim);
+  return detail::l2_sq_scalar(a, b, dim);
 }
 
 std::pair<std::uint32_t, float> nearest_centroid(const float* point,
                                                  const float* centroids,
                                                  std::size_t n,
                                                  std::size_t dim) {
-  const L2SqFn l2 = l2_sq_fn();
   std::uint32_t best = 0;
   float best_d = std::numeric_limits<float>::infinity();
   for (std::size_t c = 0; c < n; ++c) {
-    const float d = l2(point, centroids + c * dim, dim);
+    const float d = l2_sq(point, centroids + c * dim, dim);
     if (d < best_d) {
       best_d = d;
       best = static_cast<std::uint32_t>(c);
@@ -261,23 +256,21 @@ __attribute__((target("avx2"))) void dists_t_avx2(const float* p,
 
 }  // namespace
 
-DistsTFn squared_dists_t_fn() {
-#if defined(UPANNS_X86)
-  switch (common::simd_active_level()) {
-    case common::SimdLevel::kAvx2: return dists_t_avx2;
-    case common::SimdLevel::kSse2: return dists_t_sse2;
-    case common::SimdLevel::kScalar: break;
-  }
-#endif
-  return dists_t_scalar;
-}
-
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
                      std::size_t k_pad, std::size_t dim, float* out) {
   // k_pad is the lane stride of the transposed layout; callers may scan a
   // sub-window (k < k_pad) as long as full 8-lane blocks stay in bounds.
   assert(k_pad % 8 == 0 && k_pad >= k);
-  squared_dists_t_fn()(point, tctr, k, k_pad, dim, out);
+#if defined(UPANNS_X86)
+  switch (common::simd_active_level()) {
+    case common::SimdLevel::kAvx2:
+      return dists_t_avx2(point, tctr, k, k_pad, dim, out);
+    case common::SimdLevel::kSse2:
+      return dists_t_sse2(point, tctr, k, k_pad, dim, out);
+    case common::SimdLevel::kScalar: break;
+  }
+#endif
+  dists_t_scalar(point, tctr, k, k_pad, dim, out);
 }
 
 std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
@@ -285,16 +278,6 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
                                                    std::size_t k,
                                                    std::size_t k_pad,
                                                    std::size_t dim) {
-  return nearest_centroid_t(point, tctr, k, k_pad, dim, squared_dists_t_fn());
-}
-
-std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
-                                                   const float* tctr,
-                                                   std::size_t k,
-                                                   std::size_t k_pad,
-                                                   std::size_t dim,
-                                                   DistsTFn dists) {
-  assert(k_pad % 8 == 0 && k_pad >= k);
   // Selection walks distances in index order with a strict-less compare, so
   // ties break to the lowest index — identical to nearest_centroid. Scanning
   // a small stack buffer per 64-lane stripe keeps the working set in L1.
@@ -303,7 +286,7 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
   float best_d = std::numeric_limits<float>::infinity();
   for (std::size_t c0 = 0; c0 < k; c0 += 64) {
     const std::size_t span = std::min<std::size_t>(64, k - c0);
-    dists(point, tctr + c0, span, k_pad, dim, stripe);
+    squared_dists_t(point, tctr + c0, span, k_pad, dim, stripe);
     for (std::size_t j = 0; j < span; ++j) {
       if (stripe[j] < best_d) {
         best_d = stripe[j];
@@ -342,7 +325,6 @@ std::vector<float> seed_plus_plus(std::span<const float> data, std::size_t n,
   std::size_t first = rng.below(n);
   std::copy_n(data.data() + first * dim, dim, centroids.begin());
 
-  const L2SqFn l2 = l2_sq_fn();  // once per seeding pass
   for (std::size_t c = 1; c < k; ++c) {
     const float* last = centroids.data() + (c - 1) * dim;
     detail::run_indexed(pool, threaded, n_chunks, [&](std::size_t ci) {
@@ -350,7 +332,7 @@ std::vector<float> seed_plus_plus(std::span<const float> data, std::size_t n,
       const std::size_t hi = std::min(n, lo + kReduceChunk);
       double s = 0.0;
       for (std::size_t i = lo; i < hi; ++i) {
-        const float d = l2(data.data() + i * dim, last, dim);
+        const float d = l2_sq(data.data() + i * dim, last, dim);
         min_d[i] = std::min(min_d[i], d);
         s += min_d[i];
       }
@@ -399,10 +381,9 @@ std::vector<std::uint32_t> assign_labels(std::span<const float> data,
   std::vector<float> tctr;
   transpose_centroids(centroids.data(), n_clusters, dim, tctr);
   const std::size_t k_pad = pad8(n_clusters);
-  const DistsTFn dists = squared_dists_t_fn();
   auto body = [&](std::size_t i) {
     labels[i] = nearest_centroid_t(data.data() + i * dim, tctr.data(),
-                                   n_clusters, k_pad, dim, dists)
+                                   n_clusters, k_pad, dim)
                     .first;
   };
   if (use_threads) {
@@ -447,7 +428,6 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
   result.centroids =
       seed_plus_plus(train, n_train, dim, k, rng, pool, threaded);
   const std::size_t k_pad = pad8(k);
-  const DistsTFn dists_fn = squared_dists_t_fn();  // once per training run
 
   // Mini-batch mode: each iteration samples ceil(f * n_train) points with
   // replacement (sampled on this thread so the rng stream is identical for
@@ -510,8 +490,7 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
       for (std::size_t j = lo; j < hi; ++j) {
         const std::size_t i = mini_batch ? sample_idx[j] : j;
         const float* p = train.data() + i * dim;
-        auto [c, d] =
-            nearest_centroid_t(p, tctr.data(), k, k_pad, dim, dists_fn);
+        auto [c, d] = nearest_centroid_t(p, tctr.data(), k, k_pad, dim);
         labels[j] = c;
         dists[j] = d;
         inertia_part += d;
@@ -588,7 +567,7 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
     const std::size_t hi = std::min(n, lo + kReduceChunk);
     for (std::size_t i = lo; i < hi; ++i) {
       result.labels[i] = nearest_centroid_t(data.data() + i * dim, tctr.data(),
-                                            k, k_pad, dim, dists_fn)
+                                            k, k_pad, dim)
                              .first;
     }
   });

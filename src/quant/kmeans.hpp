@@ -59,12 +59,6 @@ struct KMeansResult {
 /// dispatched on the active SIMD level).
 float l2_sq(const float* a, const float* b, std::size_t dim);
 
-/// l2_sq at one SIMD level. The variants are bit-identical, so a hot loop
-/// resolves l2_sq_fn() once — per pass, query or batch — instead of
-/// dispatching on the active level for every pair.
-using L2SqFn = float (*)(const float* a, const float* b, std::size_t dim);
-L2SqFn l2_sq_fn();
-
 /// Find the nearest centroid (row-major centroids, n x dim).
 /// Returns (index, squared distance); ties break to the lowest index.
 std::pair<std::uint32_t, float> nearest_centroid(const float* point,
@@ -89,21 +83,6 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
                                                    std::size_t k,
                                                    std::size_t k_pad,
                                                    std::size_t dim);
-
-/// squared_dists_t at one SIMD level (see l2_sq_fn).
-using DistsTFn = void (*)(const float* point, const float* tctr,
-                          std::size_t k, std::size_t k_pad, std::size_t dim,
-                          float* out);
-DistsTFn squared_dists_t_fn();
-
-/// nearest_centroid_t over a resolved squared_dists_t_fn(), for loops that
-/// resolve the level once.
-std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
-                                                   const float* tctr,
-                                                   std::size_t k,
-                                                   std::size_t k_pad,
-                                                   std::size_t dim,
-                                                   DistsTFn dists);
 
 /// All k squared distances over a transposed layout, bit-identical to
 /// calling l2_sq per row-major centroid. Used by the LUT build.

@@ -84,29 +84,21 @@ void ProductQuantizer::rebuild_transposed() {
 }
 
 void ProductQuantizer::encode(const float* vec, std::uint8_t* codes) const {
-  encode_with(squared_dists_t_fn(), vec, codes);
-}
-
-void ProductQuantizer::encode_with(DistsTFn dists, const float* vec,
-                                   std::uint8_t* codes) const {
   assert(trained());
   for (std::size_t s = 0; s < m_; ++s) {
     const float* tcb = tcodebooks_.data() + s * dsub_ * kPqKsub;
-    codes[s] = static_cast<std::uint8_t>(
-        nearest_centroid_t(vec + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_,
-                           dists)
-            .first);
+    auto [c, d] =
+        nearest_centroid_t(vec + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_);
+    (void)d;
+    codes[s] = static_cast<std::uint8_t>(c);
   }
 }
 
 void ProductQuantizer::encode_batch(std::span<const float> data, std::size_t n,
                                     std::uint8_t* out) const {
-  const DistsTFn dists = squared_dists_t_fn();  // once per batch
   common::ThreadPool::global().parallel_for(
       0, n,
-      [&](std::size_t i) {
-        encode_with(dists, data.data() + i * dim_, out + i * m_);
-      },
+      [&](std::size_t i) { encode(data.data() + i * dim_, out + i * m_); },
       128);
 }
 
@@ -121,10 +113,10 @@ void ProductQuantizer::decode(const std::uint8_t* codes, float* out) const {
 
 void ProductQuantizer::compute_lut(const float* query, float* lut) const {
   assert(trained());
-  const DistsTFn dists = squared_dists_t_fn();
   for (std::size_t s = 0; s < m_; ++s) {
     const float* tcb = tcodebooks_.data() + s * dsub_ * kPqKsub;
-    dists(query + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_, lut + s * kPqKsub);
+    squared_dists_t(query + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_,
+                    lut + s * kPqKsub);
   }
 }
 

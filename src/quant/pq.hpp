@@ -94,8 +94,6 @@ class ProductQuantizer {
   static ProductQuantizer load_from(std::istream& is);
 
  private:
-  /// encode() over a resolved distance kernel (see l2_sq_fn).
-  void encode_with(DistsTFn dists, const float* vec, std::uint8_t* codes) const;
   /// Rebuild the dimension-major codebook mirror the blocked encode / LUT
   /// kernels scan. Called after train() and load_from().
   void rebuild_transposed();

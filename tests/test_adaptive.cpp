@@ -265,9 +265,9 @@ TEST(Adaptive, CopyChangeFractionAloneTriggersAdjustmentUnderPerQueryModel) {
   AdaptiveController ctl(4, opts);
   ctl.set_baseline({0.25, 0.25, 0.25, 0.25});
   ctl.observe_batch({{0u}, {0u}, {0u}, {0u}});
-  const WorkloadModel model{1.0, 100.0};
-  const auto rec = ctl.recommend({100, 100, 100, 100}, {1, 2, 1, 1}, 150.0,
-                                 /*allow_relocate=*/true, model);
+  const ReplicaSizing sizing{WorkloadModel{1.0, 100.0}, 150.0};
+  const auto rec = ctl.recommend({100, 100, 100, 100}, {1, 2, 1, 1}, sizing,
+                                 /*allow_relocate=*/true);
   EXPECT_EQ(rec.action, AdaptAction::kAdjustCopies);
   ASSERT_EQ(rec.adjustments.size(), 2u);
   EXPECT_EQ(rec.adjustments[0].cluster, 0u);
@@ -279,13 +279,13 @@ TEST(Adaptive, CopyChangeFractionAloneTriggersAdjustmentUnderPerQueryModel) {
   const auto legacy = ctl.recommend({100, 100, 100, 100}, {1, 2, 1, 1}, 150.0);
   EXPECT_EQ(legacy.action, AdaptAction::kNone);
 
-  const auto quiet = ctl.recommend({100, 100, 100, 100}, {2, 1, 1, 1}, 150.0,
-                                   /*allow_relocate=*/true, model);
+  const auto quiet = ctl.recommend({100, 100, 100, 100}, {2, 1, 1, 1}, sizing,
+                                   /*allow_relocate=*/true);
   EXPECT_EQ(quiet.action, AdaptAction::kNone);
   EXPECT_TRUE(quiet.adjustments.empty());
 }
 
-TEST(Adaptive, RecommendForMasksNonResidentClustersAndAveragesUnderTheModel) {
+TEST(Adaptive, RecommendForMasksNonResidentClustersAndSizesLikePlacement) {
   AdaptiveOptions opts;
   opts.ewma_alpha = 0.0;
   opts.minor_threshold = 0.0;  // always act, to expose the adjustments
@@ -301,9 +301,9 @@ TEST(Adaptive, RecommendForMasksNonResidentClustersAndAveragesUnderTheModel) {
   for (const WorkloadModel& model :
        {WorkloadModel{}, WorkloadModel{1.0, 200.0}}) {
     const std::vector<std::size_t> resident = {40, 300, 0, 20};
-    const double w_bar = model.average(resident, ctl.window_mean(), 3);
-    const AdaptReport want =
-        ctl.recommend(resident, {1, 1, 0, 2}, w_bar, false, model);
+    const AdaptReport want = ctl.recommend(
+        resident, {1, 1, 0, 2},
+        ReplicaSizing::of(model, resident, ctl.window_mean(), 3), false);
     const AdaptReport got = ctl.recommend_for(p, sizes, model, false);
     EXPECT_EQ(got.action, want.action);
     ASSERT_EQ(got.adjustments.size(), want.adjustments.size());
